@@ -34,7 +34,7 @@ from .experiments import (ExperimentSpec, derive_seeds, evaluate,
 from .formulation import assemble_uc, build_formulation, extract_solution
 from .lp import to_lp_format
 from .milp import solve_milp
-from .netcase import load_case_file
+from .netcase import load_case_file, validate_load
 from .pga import PgaConfig, run_pga
 from .predictor import Dataset, MlpModel, TrainConfig, mlp_forward, mlp_train
 from .screening import (LoadRegion, ScreeningContext,
@@ -70,7 +70,7 @@ def _read_load(path: str | None, case) -> np.ndarray:
         return case.nominal_load.copy()
     with open(path, encoding="utf-8") as fh:
         values = json.load(fh)
-    return np.asarray(values, dtype=float)
+    return validate_load(values, case.n_buses)
 
 
 def _region_from_args(case, args) -> LoadRegion:
@@ -158,10 +158,7 @@ def cmd_screen(args) -> int:
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(to_lp_format(problem))
 
-    report, fallbacks = screen_all_keeping_infeasible(form, context)
-    if fallbacks:
-        print(f"warning: {fallbacks} lines kept due to infeasible screening "
-              f"LPs (cost bound too tight)", file=sys.stderr)
+    report, _ = screen_all_keeping_infeasible(form, context)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())

@@ -283,11 +283,12 @@ def evaluate(spec: ExperimentSpec, *, case: NetworkCase | None = None,
         full_costs = []
         full_masks = []
         t_full = 0.0
+        infeasible = 0
         while len(loads) < spec.n_validate:
             load = sample_loads(region, 1, rng)[0]
             sol, dt = _solve_uc(form, load)
             if sol.status != "optimal":
-                log.warning("validation load infeasible; resampled")
+                infeasible += 1
                 continue
             uc = extract_solution(form, sol)
             loads.append(load)
@@ -295,6 +296,9 @@ def evaluate(spec: ExperimentSpec, *, case: NetworkCase | None = None,
             full_masks.append(binding_mask(form, uc.f))
             t_full += dt
             pairs.append((uc.cost, mlp_forward(model, load)))
+        if infeasible:
+            log.warning("range %g: resampled %d infeasible validation loads",
+                        r, infeasible)
 
         if spec.mode == "agnostic":
             result = run_pga(model, region,

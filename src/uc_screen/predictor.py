@@ -7,8 +7,7 @@ units.  Architecture: input, three ReLU hidden layers (50, 30, 30), one
 linear output.
 
 The KNN baseline skips cost modelling entirely: it keeps a bound-side iff
-that side was binding for at least one of the k nearest recorded loads
-(or a majority of them, under the alternative rule).
+that side was binding for at least one of the k nearest recorded loads.
 """
 
 from __future__ import annotations
@@ -170,7 +169,6 @@ class TrainConfig:
     patience: int = 20
     seed: int = 0
     hidden_dims: tuple[int, ...] = (50, 30, 30)
-    optimizer: str = "adam"        # "adam" | "sgd" (plain gradient steps)
 
 
 @dataclass
@@ -189,15 +187,25 @@ def _check_input(model: MlpModel, load) -> np.ndarray:
     return load
 
 
+def _pre_activations(weights, biases, H: np.ndarray) -> list[np.ndarray]:
+    """Each layer's pre-activations for a normalized batch H (B, n).
+
+    Every layer but the last feeds the ReLU of its pre-activation to the
+    next one; the last entry is the (B, 1) normalized output.
+    """
+    pre: list[np.ndarray] = []
+    for W, b in zip(weights, biases):
+        if pre:
+            H = np.maximum(pre[-1], 0.0)
+        pre.append(H @ W.T + b)
+    return pre
+
+
 def _forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
     """Predicted costs for X (B, n); de-normalized."""
     H = (X - model.input_mean) / model.input_std
-    last = len(model.weights) - 1
-    for k, (W, b) in enumerate(zip(model.weights, model.biases)):
-        H = H @ W.T + b
-        if k < last:
-            H = np.maximum(H, 0.0)
-    return model.output_mean + model.output_std * H[:, 0]
+    out = _pre_activations(model.weights, model.biases, H)[-1]
+    return model.output_mean + model.output_std * out[:, 0]
 
 
 def mlp_forward(model: MlpModel, load) -> float:
@@ -214,16 +222,10 @@ def mlp_input_grad(model: MlpModel, load) -> np.ndarray:
     """
     load = _check_input(model, load)
     h = (load - model.input_mean) / model.input_std
-    masks = []
-    last = len(model.weights) - 1
-    for k, (W, b) in enumerate(zip(model.weights, model.biases)):
-        z = W @ h + b
-        if k < last:
-            masks.append(z > 0)
-            h = np.maximum(z, 0.0)
-    g = model.weights[last][0].copy()
-    for k in range(last - 1, -1, -1):
-        g = (g * masks[k]) @ model.weights[k]
+    pre = _pre_activations(model.weights, model.biases, h[None, :])
+    g = model.weights[-1][0]
+    for k in range(len(pre) - 2, -1, -1):
+        g = (g * (pre[k][0] > 0)) @ model.weights[k]
     return model.output_std * g / model.input_std
 
 
@@ -239,23 +241,16 @@ def _init_params(dims: tuple[int, ...], rng: np.random.Generator):
 def _forward_backward(weights, biases, X, y):
     """Normalized-space MSE loss and parameter gradients for one batch."""
     B = len(X)
-    acts = [X]
-    pre = []
-    H = X
-    last = len(weights) - 1
-    for k, (W, b) in enumerate(zip(weights, biases)):
-        Z = H @ W.T + b
-        pre.append(Z)
-        H = np.maximum(Z, 0.0) if k < last else Z
-        acts.append(H)
-    resid = acts[-1][:, 0] - y
+    pre = _pre_activations(weights, biases, X)
+    resid = pre[-1][:, 0] - y
     loss = float(resid @ resid) / B
 
     dZ = (2.0 / B) * resid[:, None]
     grads_W = [None] * len(weights)
     grads_b = [None] * len(weights)
-    for k in range(last, -1, -1):
-        grads_W[k] = dZ.T @ acts[k]
+    for k in range(len(weights) - 1, -1, -1):
+        layer_input = np.maximum(pre[k - 1], 0.0) if k > 0 else X
+        grads_W[k] = dZ.T @ layer_input
         grads_b[k] = dZ.sum(axis=0)
         if k > 0:
             dZ = (dZ @ weights[k]) * (pre[k - 1] > 0)
@@ -264,7 +259,7 @@ def _forward_backward(weights, biases, X, y):
 
 def mlp_train(dataset: Dataset, config: TrainConfig | None = None
               ) -> tuple[MlpModel, TrainReport]:
-    """Fit the cost predictor by minibatch squared-error descent.
+    """Fit the cost predictor by minibatch Adam on the squared error.
 
     The dataset is shuffled once by seed and split 80/20 into train and
     held-out sets; training standardizes on train-set statistics (a zero
@@ -304,24 +299,16 @@ def mlp_train(dataset: Dataset, config: TrainConfig | None = None
     dims = (dataset.loads.shape[1], *cfg.hidden_dims, 1)
     weights, biases = _init_params(dims, rng)
 
-    if cfg.optimizer == "adam":
-        b1, b2, eps = 0.9, 0.999, 1e-8
-        mW = [np.zeros_like(W) for W in weights]
-        vW = [np.zeros_like(W) for W in weights]
-        mB = [np.zeros_like(b) for b in biases]
-        vB = [np.zeros_like(b) for b in biases]
-        step = 0
-    elif cfg.optimizer != "sgd":
-        raise ValueError(f"unknown optimizer {cfg.optimizer!r}")
+    # Adam state; every parameter array is updated in place, so `params`
+    # and the weights/biases lists keep sharing the same arrays
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    params = weights + biases
+    moment1 = [np.zeros_like(p) for p in params]
+    moment2 = [np.zeros_like(p) for p in params]
+    step = 0
 
     def val_loss() -> float:
-        H = Xn_val
-        last = len(weights) - 1
-        for k, (W, b) in enumerate(zip(weights, biases)):
-            H = H @ W.T + b
-            if k < last:
-                H = np.maximum(H, 0.0)
-        r = H[:, 0] - yn_val
+        r = _pre_activations(weights, biases, Xn_val)[-1][:, 0] - yn_val
         return float(r @ r) / len(yn_val)
 
     best = (val_loss(), [W.copy() for W in weights], [b.copy() for b in biases])
@@ -340,21 +327,15 @@ def mlp_train(dataset: Dataset, config: TrainConfig | None = None
             loss, gW, gB = _forward_backward(
                 weights, biases, Xn_train[idx], yn_train[idx])
             epoch_loss += loss * len(idx)
-            if cfg.optimizer == "adam":
-                step += 1
-                c1 = 1.0 - b1 ** step
-                c2 = 1.0 - b2 ** step
-                for k in range(len(weights)):
-                    mW[k] = b1 * mW[k] + (1 - b1) * gW[k]
-                    vW[k] = b2 * vW[k] + (1 - b2) * gW[k] ** 2
-                    weights[k] -= cfg.lr * (mW[k] / c1) / (np.sqrt(vW[k] / c2) + eps)
-                    mB[k] = b1 * mB[k] + (1 - b1) * gB[k]
-                    vB[k] = b2 * vB[k] + (1 - b2) * gB[k] ** 2
-                    biases[k] -= cfg.lr * (mB[k] / c1) / (np.sqrt(vB[k] / c2) + eps)
-            else:
-                for k in range(len(weights)):
-                    weights[k] -= cfg.lr * gW[k]
-                    biases[k] -= cfg.lr * gB[k]
+            step += 1
+            c1 = 1.0 - b1 ** step
+            c2 = 1.0 - b2 ** step
+            for p, g, m1, m2 in zip(params, gW + gB, moment1, moment2):
+                m1 *= b1
+                m1 += (1 - b1) * g
+                m2 *= b2
+                m2 += (1 - b2) * g ** 2
+                p -= cfg.lr * (m1 / c1) / (np.sqrt(m2 / c2) + eps)
         v = val_loss()
         history.append((epoch_loss / n_train, v))
         if v < best[0] - 1e-12:
@@ -380,21 +361,17 @@ def mlp_train(dataset: Dataset, config: TrainConfig | None = None
     return model, report
 
 
-def knn_screen(dataset: Dataset, query, k: int, rule: str = "union"
-               ) -> np.ndarray:
+def knn_screen(dataset: Dataset, query, k: int) -> np.ndarray:
     """Kept-side mask (2m bools) from the k nearest recorded loads.
 
-    Under the default union rule a side is kept iff binding for at least
-    one neighbor; "majority" keeps it iff binding for more than half.
-    Distance ties are broken by sample index.
+    A side is kept iff it is binding for at least one neighbor.  Distance
+    ties are broken by sample index.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(dataset) < k:
         raise InsufficientData(
             f"need at least k={k} samples, dataset has {len(dataset)}")
-    if rule not in ("union", "majority"):
-        raise ValueError(f"unknown rule {rule!r}")
     query = np.asarray(query, dtype=float)
     if query.shape != (dataset.loads.shape[1],):
         raise DimensionError(
@@ -402,7 +379,4 @@ def knn_screen(dataset: Dataset, query, k: int, rule: str = "union"
             f"({dataset.loads.shape[1]},)")
     dist = np.linalg.norm(dataset.loads - query, axis=1)
     nearest = np.argsort(dist, kind="stable")[:k]
-    votes = dataset.binding[nearest]
-    if rule == "union":
-        return votes.any(axis=0)
-    return votes.sum(axis=0) * 2 > k
+    return dataset.binding[nearest].any(axis=0)

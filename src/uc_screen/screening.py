@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,27 +267,12 @@ def screen_line(form: UcFormulation, context: ScreeningContext,
     )
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("UC_SCREEN_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def screen_all(form: UcFormulation,
                context: ScreeningContext) -> ScreeningReport:
-    """Screen every line; fan out across threads when UC_SCREEN_THREADS > 1."""
-    workers = min(_thread_count(), form.n_lines)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            verdicts = tuple(pool.map(
-                lambda j: screen_line(form, context, j), range(form.n_lines)))
-    else:
-        verdicts = tuple(screen_line(form, context, j)
-                         for j in range(form.n_lines))
+    """Screen every line; raises ScreeningInfeasible at the first
+    infeasible line."""
+    verdicts = tuple(screen_line(form, context, j)
+                     for j in range(form.n_lines))
     return ScreeningReport(verdicts=verdicts, context=context)
 
 
@@ -299,27 +282,27 @@ def screen_all_keeping_infeasible(form: UcFormulation,
     """screen_all, but a line whose LP is infeasible keeps both sides.
 
     Infeasibility signals a cost bound below the minimal relaxed cost;
-    keeping the line is always safe.  Returns the report and the number
-    of lines that fell back.
+    keeping the line is always safe.  Each LP runs at most once, and the
+    lines that fell back are named in one warning.  Returns the report
+    and the number of lines that fell back.
     """
-    try:
-        return screen_all(form, context), 0
-    except ScreeningInfeasible:
-        pass
     verdicts = []
-    fallbacks = 0
+    fallen_back = []
     for j in range(form.n_lines):
         try:
             verdicts.append(screen_line(form, context, j))
         except ScreeningInfeasible:
-            fallbacks += 1
+            fallen_back.append(j)
             limit = float(form.f_max[j])
-            _log.warning(
-                "screening LP infeasible for line %d; keeping both sides", j)
             verdicts.append(LineVerdict(line=j, upper_redundant=False,
                                         lower_redundant=False,
                                         max_flow=limit, min_flow=-limit))
-    return ScreeningReport(verdicts=tuple(verdicts), context=context), fallbacks
+    if fallen_back:
+        _log.warning("screening LP infeasible for %d of %d lines; keeping "
+                     "both sides of lines %s", len(fallen_back),
+                     form.n_lines, fallen_back)
+    return (ScreeningReport(verdicts=tuple(verdicts), context=context),
+            len(fallen_back))
 
 
 def reduce_by_mask(instance: UcInstance, kept_mask) -> MilpProblem:

@@ -107,6 +107,16 @@ def test_solve_with_explicit_load(tmp_path, capsys):
     assert "cost" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("verb", ["solve", "screen"])
+@pytest.mark.parametrize("load", [[1.0, 2.0, 3.0], [-1.0] + [5.0] * 13],
+                         ids=["wrong_length", "negative"])
+def test_bad_load_file_is_bad_input(tmp_path, capsys, verb, load):
+    load_path = tmp_path / "load.json"
+    load_path.write_text(json.dumps(load))
+    assert main([verb, "--case", CASE14, "--load", str(load_path)]) == 1
+    assert "load vector" in capsys.readouterr().err
+
+
 def test_pga_bound_command(tmp_path, capsys):
     data = tmp_path / "data.jsonl"
     model_path = tmp_path / "model.json"

@@ -189,14 +189,6 @@ def test_early_stopping_restores_best_weights():
     assert report.epochs <= best_epoch + 1 + 5 * 2  # stopped near the best
 
 
-def test_sgd_optimizer_path():
-    rng = np.random.default_rng(8)
-    data = linear_dataset(rng, n=200)
-    model, report = mlp_train(data, TrainConfig(seed=0, max_epochs=150,
-                                                optimizer="sgd", lr=1e-3))
-    assert np.isfinite(report.final_train_loss)
-
-
 def test_dataset_jsonl_round_trip(tmp_path):
     rng = np.random.default_rng(77)
     data = Dataset(loads=rng.uniform(size=(5, 3)),
@@ -246,13 +238,6 @@ def test_knn_union_rule():
     np.testing.assert_array_equal(kept, [True, True, False, False])
 
 
-def test_knn_majority_rule():
-    data = knn_dataset()
-    kept = knn_screen(data, [1.6, 0.0], k=3, rule="majority")
-    # neighbours 1, 2, 0: side 1 binds twice out of three
-    np.testing.assert_array_equal(kept, [False, True, False, False])
-
-
 def test_knn_distance_ties_break_by_index():
     data = knn_dataset()
     # query equidistant from samples 1 and 2; k=1 must pick sample 1
@@ -266,8 +251,6 @@ def test_knn_insufficient_data():
         knn_screen(data, [0.0, 0.0], k=5)
     with pytest.raises(ValueError):
         knn_screen(data, [0.0, 0.0], k=0)
-    with pytest.raises(ValueError):
-        knn_screen(data, [0.0, 0.0], k=2, rule="plurality")
 
 
 def test_knn_union_kept_sets_grow_with_k():

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from uc_screen import (
     screen_all,
     screen_all_keeping_infeasible,
     screen_line,
+    solve_lp,
     solve_milp,
 )
 from uc_screen.errors import DimensionError
@@ -283,13 +285,29 @@ def test_screening_never_drops_binding_sides():
     assert checked >= 8
 
 
-def test_thread_fanout_matches_serial(form14, case14, monkeypatch):
-    ctx = ScreeningContext.sample_aware(case14.nominal_load)
-    serial = screen_all(form14, ctx)
-    monkeypatch.setenv("UC_SCREEN_THREADS", "4")
-    threaded = screen_all(form14, ctx)
-    for a, b in zip(serial.verdicts, threaded.verdicts):
-        assert a.line == b.line
-        assert a.max_flow == b.max_flow and a.min_flow == b.min_flow
-        assert a.upper_redundant == b.upper_redundant
-        assert a.lower_redundant == b.lower_redundant
+def test_fallback_warns_once_per_call(form14, case14, caplog):
+    ctx = ScreeningContext.sample_aware(case14.nominal_load, cost_bound=1.0)
+    with caplog.at_level(logging.WARNING, logger="uc_screen.screening"):
+        report, n_fallbacks = screen_all_keeping_infeasible(form14, ctx)
+    assert n_fallbacks == form14.n_lines == 20
+    assert report.kept_mask().all()
+    warnings = [rec for rec in caplog.records
+                if rec.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "20 of 20 lines" in warnings[0].getMessage()
+
+
+def test_fallback_runs_each_lp_at_most_once(form14, case14, monkeypatch):
+    statuses = []
+
+    def counting_solve_lp(problem):
+        sol = solve_lp(problem)
+        statuses.append(sol.status)
+        return sol
+
+    ctx = ScreeningContext.sample_aware(case14.nominal_load, cost_bound=1.0)
+    monkeypatch.setattr("uc_screen.screening.solve_lp", counting_solve_lp)
+    screen_all_keeping_infeasible(form14, ctx)
+    # one pass: the max-LP of each line is infeasible, so its min-LP is
+    # never run and no line is screened twice
+    assert statuses == ["infeasible"] * form14.n_lines
