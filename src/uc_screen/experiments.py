@@ -168,6 +168,35 @@ def _solve_uc(form: UcFormulation, load):
     return sol, time.perf_counter() - t0
 
 
+def _feasible_draws(form: UcFormulation, region: LoadRegion, count: int,
+                    rng: np.random.Generator):
+    """Draw count loads that have a feasible commitment, with their solutions
+    and full-MILP solve times.
+
+    Infeasible draws are resampled; a region where feasible loads are too
+    rare raises InfeasibleSample after 50·count + 100 draws.
+    """
+    loads, solutions, times = [], [], []
+    limit = 50 * count + 100
+    draws = 0
+    while len(loads) < count:
+        if draws == limit:
+            raise InfeasibleSample(
+                f"only {len(loads)}/{count} feasible loads after {draws} draws")
+        draws += 1
+        load = sample_loads(region, 1, rng)[0]
+        sol, dt = _solve_uc(form, load)
+        if sol.status != "optimal":
+            continue
+        loads.append(load)
+        solutions.append(extract_solution(form, sol))
+        times.append(dt)
+    if draws > count:
+        log.warning("range %g: resampled %d infeasible loads",
+                    region.variation, draws - count)
+    return loads, solutions, times
+
+
 def generate_dataset(case: NetworkCase | UcFormulation, region: LoadRegion,
                      count: int, seed: int) -> Dataset:
     """Sample loads in the region and record cost and binding sides.
@@ -177,33 +206,13 @@ def generate_dataset(case: NetworkCase | UcFormulation, region: LoadRegion,
     InfeasibleSample.
     """
     form = case if isinstance(case, UcFormulation) else build_formulation(case)
-    rng = np.random.default_rng(seed)
-    loads = np.empty((count, form.n_buses))
-    costs = np.empty(count)
-    binding = np.empty((count, 2 * form.n_lines), dtype=bool)
-
-    kept = 0
-    attempts = 0
-    limit = 50 * count + 100
-    infeasible = 0
-    while kept < count:
-        attempts += 1
-        if attempts > limit:
-            raise InfeasibleSample(
-                f"only {kept}/{count} feasible loads after {attempts} draws")
-        load = sample_loads(region, 1, rng)[0]
-        sol, _ = _solve_uc(form, load)
-        if sol.status != "optimal":
-            infeasible += 1
-            continue
-        uc = extract_solution(form, sol)
-        loads[kept] = load
-        costs[kept] = uc.cost
-        binding[kept] = binding_mask(form, uc.f)
-        kept += 1
-    if infeasible:
-        log.warning("resampled %d infeasible loads", infeasible)
-    return Dataset(loads=loads, costs=costs, binding=binding,
+    loads, solutions, _ = _feasible_draws(form, region, count,
+                                          np.random.default_rng(seed))
+    return Dataset(loads=np.reshape(loads, (count, form.n_buses)),
+                   costs=[uc.cost for uc in solutions],
+                   binding=np.reshape([binding_mask(form, uc.f)
+                                       for uc in solutions],
+                                      (count, 2 * form.n_lines)),
                    seed=seed, region=region)
 
 
@@ -233,10 +242,8 @@ class _Tally:
         denom = max(abs(cost_full), 1e-12)
         self.err.append(abs(sol.objective_value - cost_full) / denom)
 
-    def row(self, method: str, r: float, t_full: float,
-            pct_override: float | None = None) -> MetricsRow:
-        pct = pct_override if pct_override is not None \
-            else float(np.mean(self.pct)) if self.pct else 0.0
+    def row(self, method: str, r: float, t_full: float) -> MetricsRow:
+        pct = float(np.mean(self.pct)) if self.pct else 0.0
         err = float(np.mean(self.err)) if self.err else 0.0
         rel_time = 100.0 * self.t_reduced / t_full if t_full > 0 else 0.0
         return MetricsRow(method=method, range=r, pct_reduced=100.0 * pct,
@@ -278,27 +285,14 @@ def evaluate(spec: ExperimentSpec, *, case: NetworkCase | None = None,
 
     for ri, r in enumerate(ranges):
         region = _region_for(spec, case, r)
-        rng = np.random.default_rng([spec.seeds["validate"], ri])
-        loads = []
-        full_costs = []
-        full_masks = []
-        t_full = 0.0
-        infeasible = 0
-        while len(loads) < spec.n_validate:
-            load = sample_loads(region, 1, rng)[0]
-            sol, dt = _solve_uc(form, load)
-            if sol.status != "optimal":
-                infeasible += 1
-                continue
-            uc = extract_solution(form, sol)
-            loads.append(load)
-            full_costs.append(uc.cost)
-            full_masks.append(binding_mask(form, uc.f))
-            t_full += dt
-            pairs.append((uc.cost, mlp_forward(model, load)))
-        if infeasible:
-            log.warning("range %g: resampled %d infeasible validation loads",
-                        r, infeasible)
+        loads, solutions, times = _feasible_draws(
+            form, region, spec.n_validate,
+            np.random.default_rng([spec.seeds["validate"], ri]))
+        full_costs = [uc.cost for uc in solutions]
+        full_masks = [binding_mask(form, uc.f) for uc in solutions]
+        t_full = sum(times)
+        pairs += [(uc.cost, mlp_forward(model, load))
+                  for load, uc in zip(loads, solutions)]
 
         if spec.mode == "agnostic":
             result = run_pga(model, region,
@@ -329,9 +323,7 @@ def evaluate(spec: ExperimentSpec, *, case: NetworkCase | None = None,
                 for name, kept in masks.items():
                     tallies[name].add_solve(instance, kept, cost)
             for name, tally in tallies.items():
-                rows.append(tally.row(
-                    name, r, t_full,
-                    pct_override=1.0 - masks[name].mean()))
+                rows.append(tally.row(name, r, t_full))
             continue
 
         tallies = {"Benchmark": _Tally(), "CostAware": _Tally()}

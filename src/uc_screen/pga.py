@@ -7,8 +7,11 @@ so the result is a heuristic maximum; the (1+ε) relaxation applied by
 cost-aware screening exists to absorb exactly this slack.
 
 Projection onto L = box ∩ {1ᵀx = L̄} is exact: the Euclidean projection
-has the form x_i = clip(v_i − λ, lo_i, hi_i) for a scalar multiplier λ
-found by bisection (1ᵀx is continuous and non-increasing in λ).
+has the form x_i = clip(v_i − λ, lo_i, hi_i) for a scalar multiplier λ.
+1ᵀx is piecewise linear and non-increasing in λ, so λ is found exactly
+by a breakpoint search: evaluate 1ᵀx at the 2n sorted kinks and
+interpolate on the piece that holds the level (Kiwiel, Math. Programming
+2008).
 """
 
 from __future__ import annotations
@@ -26,18 +29,14 @@ __all__ = ["PgaConfig", "PgaResult", "project_region", "run_pga"]
 
 @dataclass
 class PgaConfig:
-    """Unset fields are derived from the region at run time:
-    step_size 0.05·‖ℓ̄‖∞ and tol_converge 1e-6·‖ℓ̄‖∞."""
+    """The step 0.05·‖ℓ̄‖∞ and the stopping tolerance 1e-6·‖ℓ̄‖∞ on the
+    move per step are derived from the region at run time."""
 
-    step_size: float | None = None
     max_iters: int = 1000
-    tol_converge: float | None = None
     restarts: int = 10
     seed: int = 0
 
     def __post_init__(self):
-        if self.step_size is not None and self.step_size <= 0:
-            raise ValueError("step_size must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.restarts < 1:
@@ -70,25 +69,11 @@ def project_region(v, region: LoadRegion) -> np.ndarray:
     if lo.sum() > level + tol or hi.sum() < level - tol:
         raise EmptyRegion("level plane does not meet the box")
 
-    if np.all(v >= lo) and np.all(v <= hi) and abs(v.sum() - level) <= tol:
-        return v.copy()
-
-    lam_lo = float((v - hi).min()) - 1.0
-    lam_hi = float((v - lo).max()) + 1.0
-    x = None
-    for _ in range(200):
-        lam = 0.5 * (lam_lo + lam_hi)
-        x = np.clip(v - lam, lo, hi)
-        gap = x.sum() - level
-        # The multiplier is pinned well past the level tolerance so that
-        # the projected point is accurate coordinate-wise, not just in sum.
-        if abs(gap) <= tol and lam_hi - lam_lo <= 1e-11 * max(1.0, abs(lam)):
-            break
-        if gap > 0:
-            lam_lo = lam
-        else:
-            lam_hi = lam
-    return x
+    # np.interp needs ascending abscissae; the sums fall as the kinks rise.
+    kinks = np.sort(np.concatenate([v - hi, v - lo]))
+    sums = np.clip(v - kinks[:, None], lo, hi).sum(axis=1)
+    lam = np.interp(level, sums[::-1], kinks[::-1])
+    return np.clip(v - lam, lo, hi)
 
 
 def _surrogate(model):
@@ -104,8 +89,8 @@ def run_pga(model, region: LoadRegion,
     cfg = config or PgaConfig()
     value, grad = _surrogate(model)
     scale = max(float(np.abs(region.nominal).max(initial=0.0)), 1e-6)
-    beta = cfg.step_size if cfg.step_size is not None else 0.05 * scale
-    tol = cfg.tol_converge if cfg.tol_converge is not None else 1e-6 * scale
+    beta = 0.05 * scale
+    tol = 1e-6 * scale
     rng = np.random.default_rng(cfg.seed)
     lo, hi = region.lower, region.upper
 

@@ -6,10 +6,12 @@ import pytest
 from conftest import FIXTURES
 from uc_screen import (
     CSV_HEADER,
+    Dataset,
     ExperimentSpec,
     InfeasibleSample,
     LoadRegion,
     MetricsRow,
+    MlpModel,
     assemble_uc,
     binding_mask,
     build_formulation,
@@ -92,17 +94,34 @@ def test_generate_dataset_resamples_infeasible_loads():
         assert sol.status == "optimal"
 
 
-def test_generate_dataset_gives_up_on_impossible_region():
-    doc = {
+def impossible_case():
+    """Two buses whose line cannot carry the load: no load is feasible."""
+    return load_case(json.dumps({
         "buses": [{"id": 1}, {"id": 2}],
         "lines": [{"from": 1, "to": 2, "susceptance": 1.0, "flow_limit": 0.5}],
         "generators": [{"bus": 1, "cost": 1.0, "p_min": 0.0, "p_max": 50.0}],
         "nominal_load": [0.0, 10.0],
-    }
-    case = load_case(json.dumps(doc))
+    }))
+
+
+def test_generate_dataset_gives_up_on_impossible_region():
+    case = impossible_case()
     region = LoadRegion(nominal=case.nominal_load, variation=0.0)
     with pytest.raises(InfeasibleSample):
         generate_dataset(build_formulation(case), region, 3, seed=0)
+
+
+def test_evaluate_gives_up_on_impossible_validation_region():
+    case = impossible_case()
+    model = MlpModel(layer_dims=(2, 1), weights=[np.zeros((1, 2))],
+                     biases=[np.zeros(1)], input_mean=np.zeros(2),
+                     input_std=np.ones(2), output_mean=0.0, output_std=1.0)
+    data = Dataset(loads=[[0.0, 10.0]], costs=[10.0],
+                   binding=[[False, False]])
+    spec = ExperimentSpec(case="unused", variation_ranges=(0.0,),
+                          n_train=1, n_validate=2)
+    with pytest.raises(InfeasibleSample):
+        evaluate(spec, case=case, model=model, train_dataset=data)
 
 
 def test_metrics_row_csv_line():

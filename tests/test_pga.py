@@ -36,7 +36,8 @@ def test_projection_matches_clip_pattern_enumeration():
         got = project_region(v, region)
         want = project_enumeration(v, region.lower, region.upper, region.level)
         assert want is not None
-        np.testing.assert_allclose(got, want, atol=1e-7), f"trial {trial}"
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12,
+                                   err_msg=f"trial {trial}")
 
 
 def test_projection_hand_case():
@@ -45,6 +46,16 @@ def test_projection_hand_case():
                                atol=1e-9)
     np.testing.assert_allclose(project_region([2.0, 0.0], region), [2.0, 0.0],
                                atol=1e-9)
+    # tied coordinates give repeated kinks
+    cube = LoadRegion(nominal=np.ones(3), variation=1.0)    # [0,2]^3, level 3
+    np.testing.assert_allclose(project_region([5.0, 5.0, -1.0], cube),
+                               [1.5, 1.5, 0.0], atol=1e-12)
+    np.testing.assert_allclose(project_region([2.0, 2.0, 2.0], cube),
+                               [1.0, 1.0, 1.0], atol=1e-12)
+    # zero variation: lo == hi, so every piece of the level sum is flat
+    point = LoadRegion(nominal=np.array([3.0, 4.0]), variation=0.0)
+    np.testing.assert_array_equal(project_region([10.0, -5.0], point),
+                                  [3.0, 4.0])
 
 
 def test_projection_properties():
@@ -55,7 +66,7 @@ def test_projection_properties():
         x = project_region(v, region)
         assert np.all(x >= region.lower - 1e-9)
         assert np.all(x <= region.upper + 1e-9)
-        assert abs(x.sum() - region.level) <= 1e-8 * max(1.0, abs(region.level))
+        assert abs(x.sum() - region.level) <= 1e-12 * max(1.0, abs(region.level))
         # projecting a feasible point changes nothing
         np.testing.assert_allclose(project_region(x, region), x, atol=1e-9)
 
@@ -122,10 +133,10 @@ def test_pga_zero_variation_region_returns_nominal_value():
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(step_size=0.0),
-    dict(step_size=-1.0),
     dict(max_iters=0),
     dict(restarts=0),
+    dict(max_iters=-1),
+    dict(restarts=-1),
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
