@@ -147,10 +147,9 @@ class EvalOutput:
 def sample_loads(region: LoadRegion, count: int,
                  rng: np.random.Generator) -> np.ndarray:
     """Draw count loads uniform in the box, projected onto the level plane."""
-    out = np.empty((count, len(region.nominal)))
-    for i in range(count):
-        out[i] = project_region(rng.uniform(region.lower, region.upper), region)
-    return out
+    draws = rng.uniform(region.lower, region.upper,
+                        size=(count, len(region.nominal)))
+    return project_region(draws, region)
 
 
 def binding_mask(form: UcFormulation, f: np.ndarray) -> np.ndarray:

@@ -214,6 +214,19 @@ def mlp_forward(model: MlpModel, load) -> float:
     return float(_forward_batch(model, load[None, :])[0])
 
 
+def _value_and_grad(model: MlpModel, X: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted costs (B,) and their input gradients (B, n) for raw
+    loads X (B, n), from one forward pass."""
+    H = (X - model.input_mean) / model.input_std
+    pre = _pre_activations(model.weights, model.biases, H)
+    G = np.repeat(model.weights[-1], len(X), axis=0)
+    for k in range(len(pre) - 2, -1, -1):
+        G = (G * (pre[k] > 0)) @ model.weights[k]
+    values = model.output_mean + model.output_std * pre[-1][:, 0]
+    return values, model.output_std * G / model.input_std
+
+
 def mlp_input_grad(model: MlpModel, load) -> np.ndarray:
     """Exact gradient of the predicted cost w.r.t. the raw load.
 
@@ -221,12 +234,7 @@ def mlp_input_grad(model: MlpModel, load) -> np.ndarray:
     subgradient 0 is used, matching the forward pass.
     """
     load = _check_input(model, load)
-    h = (load - model.input_mean) / model.input_std
-    pre = _pre_activations(model.weights, model.biases, h[None, :])
-    g = model.weights[-1][0]
-    for k in range(len(pre) - 2, -1, -1):
-        g = (g * (pre[k][0] > 0)) @ model.weights[k]
-    return model.output_std * g / model.input_std
+    return _value_and_grad(model, load[None, :])[1][0]
 
 
 def _init_params(dims: tuple[int, ...], rng: np.random.Generator):

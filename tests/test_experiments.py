@@ -46,6 +46,16 @@ def test_sample_loads_stay_in_region():
     assert again.tobytes() == loads.tobytes()
 
 
+def test_sample_loads_block_matches_one_at_a_time():
+    region = LoadRegion(nominal=np.array([5.0, 10.0, 15.0, 0.0]),
+                        variation=0.7, level=33.0)
+    block = sample_loads(region, 50, np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    rows = np.vstack([sample_loads(region, 1, rng) for _ in range(50)])
+    np.testing.assert_allclose(block, rows, rtol=0, atol=1e-12)
+    assert sample_loads(region, 0, rng).shape == (0, 4)
+
+
 def test_binding_mask_orders_uppers_then_lowers(form3):
     # line flows are K @ f; craft f so line 0 hits +limit and line 2 -limit
     # (the triangle's loop rule fixes flow1 = flow0 + flow2)

@@ -3,7 +3,8 @@ import pytest
 
 from oracles import lp_vertex_enumeration, project_enumeration
 from test_predictor import random_model
-from uc_screen import LoadRegion, PgaConfig, PgaResult, project_region, run_pga
+from uc_screen import (LoadRegion, PgaConfig, PgaResult, mlp_forward,
+                       mlp_input_grad, project_region, run_pga)
 from uc_screen.errors import DimensionError
 from uc_screen.lp import LpProblem
 
@@ -75,6 +76,24 @@ def test_projection_shape_check():
     region = LoadRegion(nominal=np.array([1.0, 1.0]), variation=0.5)
     with pytest.raises(DimensionError):
         project_region([1.0, 2.0, 3.0], region)
+    with pytest.raises(DimensionError):
+        project_region(np.ones((4, 3)), region)
+
+
+def test_batched_projection_matches_rows():
+    rng = np.random.default_rng(2718)
+    for trial in range(50):
+        region = random_region(rng)
+        n = region.nominal.shape[0]
+        V = rng.normal(scale=6.0, size=(int(rng.integers(1, 9)), n))
+        V[0] = V[-1]                      # a repeated row
+        got = project_region(V, region)
+        assert got.shape == V.shape
+        for i, v in enumerate(V):
+            np.testing.assert_allclose(got[i], project_region(v, region),
+                                       rtol=0, atol=1e-12,
+                                       err_msg=f"trial {trial} row {i}")
+    assert project_region(np.empty((0, n)), region).shape == (0, n)
 
 
 def test_pga_on_linear_surrogate_matches_lp():
@@ -94,6 +113,59 @@ def test_pga_on_linear_surrogate_matches_lp():
         assert abs(result.bound - lp_max) <= 1e-6 * max(1.0, abs(lp_max)), \
             f"trial {trial}"
         assert region.contains(result.argmax_load, tol=1e-6)
+
+
+def serial_pga(value, grad, region, cfg):
+    """Reference ascent, one restart at a time: per-restart best values,
+    the best load, and the steps each restart took."""
+    scale = max(float(np.abs(region.nominal).max(initial=0.0)), 1e-6)
+    beta, tol = 0.05 * scale, 1e-6 * scale
+    rng = np.random.default_rng(cfg.seed)
+    traces, args, steps = [], [], []
+    for _ in range(cfg.restarts):
+        x = project_region(rng.uniform(region.lower, region.upper), region)
+        best, best_at, taken = value(x), x, 0
+        for _ in range(cfg.max_iters):
+            taken += 1
+            x_next = project_region(x + beta * grad(x), region)
+            if value(x_next) > best:
+                best, best_at = value(x_next), x_next
+            if np.abs(x_next - x).max(initial=0.0) < tol:
+                break
+            x = x_next
+        traces.append(best)
+        args.append(best_at)
+        steps.append(taken)
+    return traces, args[int(np.argmax(traces))], steps
+
+
+def test_batched_ascent_matches_restart_by_restart_reference():
+    rng = np.random.default_rng(4242)
+    early, uneven = 0, 0
+    for trial in range(40):
+        region = random_region(rng)
+        n = region.nominal.shape[0]
+        if trial % 2:
+            model = LinearSurrogate(rng.normal(size=n))
+            value, grad = model.value, model.grad
+        else:
+            model = random_model(rng, n_in=n)
+            value = lambda x, m=model: mlp_forward(m, x)
+            grad = lambda x, m=model: mlp_input_grad(m, x)
+        cfg = PgaConfig(seed=trial, restarts=int(rng.integers(1, 6)),
+                        max_iters=int(rng.integers(1, 40)))
+        traces, arg, steps = serial_pga(value, grad, region, cfg)
+        result = run_pga(model, region, cfg)
+        assert result.iterates == sum(steps), f"trial {trial}"
+        np.testing.assert_allclose(result.restart_traces, traces,
+                                   rtol=1e-9, atol=0, err_msg=f"trial {trial}")
+        assert result.bound == pytest.approx(max(traces), rel=1e-9, abs=0)
+        np.testing.assert_allclose(result.argmax_load, arg, rtol=0, atol=1e-9,
+                                   err_msg=f"trial {trial}")
+        early += min(steps) < cfg.max_iters
+        uneven += len(set(steps)) > 1
+    # the cases exercise restarts that stop early, at different steps
+    assert early >= 5 and uneven >= 5
 
 
 def test_pga_result_bookkeeping():

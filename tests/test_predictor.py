@@ -14,6 +14,7 @@ from uc_screen import (
     mlp_train,
 )
 from uc_screen.errors import DimensionError
+from uc_screen.predictor import _value_and_grad
 
 
 def tiny_model():
@@ -87,6 +88,23 @@ def test_gradient_matches_finite_differences():
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
         checked += 1
     assert checked >= 20
+
+
+def test_batched_value_and_grad_match_single_loads():
+    rng = np.random.default_rng(123)
+    linear = MlpModel(layer_dims=(3, 1), weights=[rng.normal(size=(1, 3))],
+                      biases=[np.array([0.5])], input_mean=np.zeros(3),
+                      input_std=np.full(3, 2.0), output_mean=1.0,
+                      output_std=3.0)
+    for model in [linear] + [random_model(rng) for _ in range(20)]:
+        X = rng.normal(scale=2.0, size=(7, model.n_inputs))
+        values, grads = _value_and_grad(model, X)
+        assert values.shape == (7,) and grads.shape == X.shape
+        for x, value, grad in zip(X, values, grads):
+            np.testing.assert_allclose(value, mlp_forward(model, x),
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(grad, mlp_input_grad(model, x),
+                                       rtol=1e-12, atol=1e-12)
 
 
 def test_gradient_shape_and_input_check():
