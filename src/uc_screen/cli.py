@@ -20,6 +20,7 @@ the seeds and a hash of the effective configuration.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -199,17 +200,15 @@ def cmd_solve(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    spec = ExperimentSpec.load(args.spec)
-    if args.seed is not None:
-        spec.seeds = derive_seeds(args.seed)
-    if args.epsilon is not None:
-        spec.epsilon = args.epsilon
-    if args.mode is not None:
-        spec.mode = args.mode
-    if args.count is not None:
-        spec.n_validate = args.count
-    if args.k is not None:
-        spec.knn_ks = (args.k,)
+    overrides = {"seeds": None if args.seed is None else derive_seeds(args.seed),
+                 "epsilon": args.epsilon,
+                 "mode": args.mode,
+                 "n_validate": args.count,
+                 "knn_ks": None if args.k is None else (args.k,)}
+    # replace() runs the spec's validation again on the overridden values
+    spec = dataclasses.replace(
+        ExperimentSpec.load(args.spec),
+        **{key: value for key, value in overrides.items() if value is not None})
 
     output = evaluate(spec)
     write_csv(output.rows, args.out)

@@ -80,6 +80,8 @@ class ExperimentSpec:
             raise ValueError("sample counts must be >= 1")
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
+        if any(k < 1 for k in self.knn_ks):
+            raise ValueError("KNN k values must be >= 1")
         if self.mode not in ("aware", "agnostic"):
             raise ValueError(f"unknown mode {self.mode!r}")
         missing = [r for r in _SEED_ROLES if r not in self.seeds]
@@ -204,6 +206,8 @@ def generate_dataset(case: NetworkCase | UcFormulation, region: LoadRegion,
     is exact; a region where feasible loads are too rare raises
     InfeasibleSample.
     """
+    if count < 1:
+        raise ValueError(f"sample count must be >= 1, got {count}")
     form = case if isinstance(case, UcFormulation) else build_formulation(case)
     loads, solutions, _ = _feasible_draws(form, region, count,
                                           np.random.default_rng(seed))

@@ -1,9 +1,19 @@
-"""Dense linear-program solver: two-phase primal simplex.
+"""Dense linear-program solver: bounded-variable primal simplex.
 
 Problems are stated over variables with arbitrary [lo, hi] bounds and
-rows with <=, =, >= relations.  At solve time the problem is shifted and
-split into standard form (all variables >= 0, rows with slack/artificial
-columns) and solved on a dense tableau.  Pricing is Dantzig's rule,
+rows with <=, =, >= relations.  Row i gets a logical variable r_i = A_i x
+whose bounds carry the relation: (-inf, b_i] for <=, [b_i, inf) for >=
+and [b_i, b_i] for =.  The problem becomes A x - r = 0 and every
+constraint is a bound on a column.  The search starts from the logical
+basis, tableau [-A | I], with each structural variable at its lower
+bound, else its upper bound, else 0 when it is free.
+
+Phase 1 minimises the sum of the basic variables' bound violations,
+with the ±1 costs recomputed every iteration, and phase 2 the objective,
+in the same loop.  The ratio test stops a basic variable at the first
+bound it meets (a violated bound is the first one met when moving
+towards it, and none when moving away), and the entering variable may
+flip to its other bound without a pivot.  Pricing is Dantzig's rule,
 falling back to Bland's rule after 2*(rows+cols) iterations so the
 solver terminates on degenerate/cycling instances.
 
@@ -13,7 +23,7 @@ warm starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,92 +130,7 @@ class LpSolution:
     status: str
     x: np.ndarray | None = None
     objective_value: float | None = None
-    iterations: int = 0
-
-
-@dataclass
-class _StandardForm:
-    """Bookkeeping for the shift/split variable transformation."""
-
-    A: np.ndarray
-    b: np.ndarray
-    relations: list
-    c: np.ndarray
-    # per original variable: ("shift", col, lo) | ("reflect", col, hi)
-    # | ("split", col_pos, col_neg)
-    var_map: list = field(default_factory=list)
-    n_cols: int = 0
-
-
-def _to_standard_form(p: LpProblem) -> _StandardForm:
-    n = p.n_vars
-    sign = -1.0 if p.sense == "max" else 1.0
-
-    kinds = []
-    n_cols = 0
-    for i in range(n):
-        lo, hi = p.lb[i], p.ub[i]
-        if np.isfinite(lo):
-            kinds.append(("shift", n_cols, lo))
-            n_cols += 1
-        elif np.isfinite(hi):
-            kinds.append(("reflect", n_cols, hi))
-            n_cols += 1
-        else:
-            kinds.append(("split", n_cols, n_cols + 1))
-            n_cols += 2
-
-    upper_rows = [i for i in range(n)
-                  if np.isfinite(p.lb[i]) and np.isfinite(p.ub[i])]
-    m = p.n_rows + len(upper_rows)
-
-    A = np.zeros((m, n_cols))
-    b = np.empty(m)
-    b[:p.n_rows] = p.b
-    relations = list(p.relations)
-    c = np.zeros(n_cols)
-
-    for i, kind in enumerate(kinds):
-        col_orig = p.A[:, i]
-        if kind[0] == "shift":
-            _, j, lo = kind
-            A[:p.n_rows, j] = col_orig
-            c[j] = sign * p.c[i]
-            if lo != 0.0:
-                b[:p.n_rows] -= col_orig * lo
-        elif kind[0] == "reflect":
-            _, j, hi = kind
-            A[:p.n_rows, j] = -col_orig
-            c[j] = -sign * p.c[i]
-            b[:p.n_rows] -= col_orig * hi
-        else:
-            _, jp, jn = kind
-            A[:p.n_rows, jp] = col_orig
-            A[:p.n_rows, jn] = -col_orig
-            c[jp] = sign * p.c[i]
-            c[jn] = -sign * p.c[i]
-
-    for row_offset, i in enumerate(upper_rows):
-        row = p.n_rows + row_offset
-        _, j, lo = kinds[i]
-        A[row, j] = 1.0
-        b[row] = p.ub[i] - lo
-        relations.append("<=")
-
-    return _StandardForm(A=A, b=b, relations=relations, c=c,
-                         var_map=kinds, n_cols=n_cols)
-
-
-def _recover_x(sf: _StandardForm, y: np.ndarray, n_vars: int) -> np.ndarray:
-    x = np.empty(n_vars)
-    for i, kind in enumerate(sf.var_map):
-        if kind[0] == "shift":
-            x[i] = kind[2] + y[kind[1]]
-        elif kind[0] == "reflect":
-            x[i] = kind[2] - y[kind[1]]
-        else:
-            x[i] = y[kind[1]] - y[kind[2]]
-    return x
+    iterations: int = 0            # pivots plus bound flips
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
@@ -219,147 +144,104 @@ def _pivot(T: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
     basis[r] = j
 
 
-def _ratio_test(T: np.ndarray, basis: np.ndarray, j: int, m: int):
-    col = T[:m, j]
-    rhs = T[:m, -1]
-    eligible = col > TOL_PIVOT
-    if not eligible.any():
-        return None
-    ratios = np.full(m, np.inf)
-    ratios[eligible] = rhs[eligible] / col[eligible]
-    best = ratios.min()
-    window = best + 1e-10 * (1.0 + abs(best))
-    candidates = np.flatnonzero(ratios <= window)
-    # smallest basis index breaks ties, which keeps Bland's rule intact
-    return candidates[np.argmin(basis[candidates])]
+def solve_lp(problem: LpProblem) -> LpSolution:
+    """Solve an LP; deterministic for a fixed input."""
+    m, n = problem.A.shape
+    N = n + m
+    # columns [x | r]; the relation of row i becomes the bounds of r_i
+    rows = list(zip(problem.relations, problem.b))
+    lo = np.concatenate([problem.lb,
+                         [-np.inf if rel == "<=" else bi for rel, bi in rows]])
+    hi = np.concatenate([problem.ub,
+                         [np.inf if rel == ">=" else bi for rel, bi in rows]])
+    # rows 0..m-1 hold B^-1 [-A | I]; row m the phase-2 reduced costs
+    T = np.zeros((m + 1, N))
+    T[:m, :n] = -problem.A
+    T[:m, n:] = np.eye(m)
+    T[m, :n] = -problem.c if problem.sense == "max" else problem.c
+    basis = np.arange(n, N)
+    x = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+    beta = problem.A @ x[:n]           # values of the basic variables
+    lo_b, hi_b = lo[n:].copy(), hi[n:].copy()
+    # 1.0 where a nonbasic variable may increase (up) or decrease (down)
+    up = (x < hi).astype(float)
+    down = (x > lo).astype(float)
+    up[n:] = down[n:] = 0.0
 
-
-def _run_simplex(T: np.ndarray, basis: np.ndarray, m: int,
-                 iteration_start: int, bland_after: int, hard_cap: int):
-    """Pivot until optimal/unbounded.  Returns (status, iterations)."""
-    iterations = iteration_start
+    bland_after = 2 * (m + N)
+    hard_cap = max(20000, 200 * (m + N))
+    iterations = 0
+    ratios = np.empty(m)
+    phase1 = True
     while True:
-        reduced = T[-1, :-1]
-        if iterations < bland_after:
-            j = int(np.argmin(reduced))
-            if reduced[j] >= -_TOL_COST:
-                return "optimal", iterations
+        if phase1:
+            # once feasible, the ratio test keeps every basic variable
+            # within its bounds, so phase 1 never returns
+            below = beta < lo_b - TOL_FEAS
+            above = beta > hi_b + TOL_FEAS
+            phase1 = bool(below.any() or above.any())
+        if phase1:
+            # minimise the sum of bound violations; for the ratio test a
+            # variable below its lower bound lo has the range (-inf, lo],
+            # one above its upper bound hi has [hi, inf)
+            cost = np.subtract(below, above, dtype=float) @ T[:m]
+            lo_eff = np.where(below, -np.inf, np.where(above, hi_b, lo_b))
+            hi_eff = np.where(above, np.inf, np.where(below, lo_b, hi_b))
         else:
-            below = np.flatnonzero(reduced < -_TOL_COST)
-            if below.size == 0:
-                return "optimal", iterations
-            j = int(below[0])
-        r = _ratio_test(T, basis, j, m)
-        if r is None:
-            return "unbounded", iterations
-        _pivot(T, basis, r, j)
+            cost, lo_eff, hi_eff = T[m], lo_b, hi_b
+        score = np.maximum(-cost * up, cost * down)
+        if iterations < bland_after:
+            j = int(score.argmax())
+            if score[j] <= _TOL_COST:
+                break
+        else:
+            eligible = np.flatnonzero(score > _TOL_COST)
+            if eligible.size == 0:
+                break
+            j = int(eligible[0])
+        step = 1.0 if cost[j] < 0.0 else -1.0
+
+        # basic variable i moves by -alpha_i per unit step of x_j
+        alpha = step * T[:m, j]
+        limit = np.where(alpha > 0.0, lo_eff, hi_eff)
+        ratios.fill(np.inf)
+        np.divide(beta - limit, alpha, out=ratios, where=np.abs(alpha) > TOL_PIVOT)
+        np.maximum(ratios, 0.0, out=ratios)
+        best = ratios.min(initial=np.inf)
+        flip = hi[j] - lo[j]
+        if min(flip, best) == np.inf:
+            if phase1:
+                raise NumericalError("phase-1 objective unbounded below")
+            return LpSolution(status=UNBOUNDED, iterations=iterations)
+        if flip <= best:
+            beta -= alpha * flip
+            x[j] = hi[j] if step > 0 else lo[j]
+            up[j], down[j] = down[j], up[j]
+        else:
+            window = best + 1e-10 * (1.0 + abs(best))
+            # smallest basis index breaks ties, which keeps Bland's rule intact
+            r = int(np.where(ratios <= window, basis, N).argmin())
+            t = ratios[r]
+            beta -= alpha * t
+            leaving = basis[r]
+            x[leaving] = limit[r]
+            up[leaving] = limit[r] < hi[leaving]
+            down[leaving] = limit[r] > lo[leaving]
+            beta[r] = x[j] + step * t
+            lo_b[r], hi_b[r] = lo[j], hi[j]
+            up[j] = down[j] = 0.0
+            _pivot(T, basis, r, j)
         iterations += 1
         if iterations >= hard_cap:
             raise NumericalError(
                 f"simplex exceeded {hard_cap} iterations (cycling safeguards failed)")
 
-
-def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve an LP; deterministic for a fixed input."""
-    sf = _to_standard_form(problem)
-    m, n0 = sf.A.shape
-
-    # orient all rows to b >= 0 so slack columns can seed the basis
-    A = sf.A.copy()
-    b = sf.b.copy()
-    relations = list(sf.relations)
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = -A[i]
-            b[i] = -b[i]
-            if relations[i] == "<=":
-                relations[i] = ">="
-            elif relations[i] == ">=":
-                relations[i] = "<="
-
-    n_slack = sum(1 for r in relations if r != "=")
-    art_rows = [i for i, r in enumerate(relations) if r != "<="]
-    n_art = len(art_rows)
-    N = n0 + n_slack + n_art
-
-    T = np.zeros((m + 1, N + 1))
-    T[:m, :n0] = A
-    T[:m, -1] = b
-    basis = np.empty(m, dtype=int)
-
-    slack_col = n0
-    art_col = n0 + n_slack
-    for i, rel in enumerate(relations):
-        if rel == "<=":
-            T[i, slack_col] = 1.0
-            basis[i] = slack_col
-            slack_col += 1
-        elif rel == ">=":
-            T[i, slack_col] = -1.0
-            slack_col += 1
-            T[i, art_col] = 1.0
-            basis[i] = art_col
-            art_col += 1
-        else:
-            T[i, art_col] = 1.0
-            basis[i] = art_col
-            art_col += 1
-
-    bland_after = 2 * (m + N)
-    hard_cap = max(20000, 200 * (m + N))
-    iterations = 0
-
-    if n_art:
-        # phase 1: minimize the sum of artificials
-        T[-1, n0 + n_slack:N] = 1.0
-        for i in range(m):
-            if basis[i] >= n0 + n_slack:
-                T[-1] -= T[i]
-        status, iterations = _run_simplex(T, basis, m, 0, bland_after, hard_cap)
-        if status == "unbounded":
-            raise NumericalError("phase-1 objective unbounded below")
-        phase1_value = -T[-1, -1]
-        if phase1_value > TOL_FEAS * (1.0 + float(np.abs(b).max(initial=0.0))):
-            return LpSolution(status=INFEASIBLE, iterations=iterations)
-
-        # drive leftover artificials out of the basis; drop redundant rows
-        drop = []
-        for i in range(m):
-            if basis[i] < n0 + n_slack:
-                continue
-            row = T[i, :n0 + n_slack]
-            candidates = np.flatnonzero(np.abs(row) > TOL_PIVOT)
-            if candidates.size:
-                _pivot(T, basis, i, int(candidates[0]))
-            else:
-                drop.append(i)
-        if drop:
-            keep = np.setdiff1d(np.arange(m), drop)
-            T = np.vstack([T[keep], T[-1][None, :]])
-            basis = basis[keep]
-            m = len(keep)
-
-        # excise artificial columns
-        T = np.hstack([T[:, :n0 + n_slack], T[:, -1:]])
-        N = n0 + n_slack
-
-    # phase 2 objective row
-    T[-1, :] = 0.0
-    T[-1, :n0] = sf.c
-    for i in range(m):
-        coef = T[-1, basis[i]]
-        if coef != 0.0:
-            T[-1] -= coef * T[i]
-
-    status, iterations = _run_simplex(T, basis, m, iterations, bland_after, hard_cap)
-    if status == "unbounded":
-        return LpSolution(status=UNBOUNDED, iterations=iterations)
-
-    y = np.zeros(N)
-    y[basis] = T[:m, -1]
-    x = _recover_x(sf, y, problem.n_vars)
-    value = float(problem.c @ x)
-    return LpSolution(status=OPTIMAL, x=x, objective_value=value,
+    if phase1:
+        return LpSolution(status=INFEASIBLE, iterations=iterations)
+    x[basis] = beta
+    solution = x[:n].copy()
+    return LpSolution(status=OPTIMAL, x=solution,
+                      objective_value=float(problem.c @ solution),
                       iterations=iterations)
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, EmptyRegion
+from .errors import DimensionError
 from .predictor import MlpModel, _value_and_grad
 # perfbench/run.py traces calls by wrapping these two attributes of this module
 from .predictor import mlp_forward, mlp_input_grad  # noqa: F401
@@ -81,9 +81,6 @@ def project_region(v, region: LoadRegion) -> np.ndarray:
         raise DimensionError(
             f"vector has shape {V.shape}, expected (..., {lo.shape[0]})")
     level = region.level
-    tol = 1e-9 * max(abs(level), 1.0)
-    if lo.sum() > level + tol or hi.sum() < level - tol:
-        raise EmptyRegion("level plane does not meet the box")
 
     # The sums fall as the kinks rise.  In each row the level lies on the
     # piece from the last kink whose sum exceeds it to the next kink, and

@@ -91,14 +91,17 @@ def _linprog_solve(problem, lb, ub):
     sign = -1.0 if problem.sense == "max" else 1.0
     bounds = [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
               for lo, hi in zip(lb, ub)]
-    res = linprog(sign * problem.c,
-                  A_ub=np.asarray(A_ub) if A_ub else None,
-                  b_ub=np.asarray(b_ub) if b_ub else None,
-                  A_eq=np.asarray(A_eq) if A_eq else None,
-                  b_eq=np.asarray(b_eq) if b_eq else None,
-                  bounds=bounds, method="highs")
+    constraints = dict(A_ub=np.asarray(A_ub) if A_ub else None,
+                       b_ub=np.asarray(b_ub) if b_ub else None,
+                       A_eq=np.asarray(A_eq) if A_eq else None,
+                       b_eq=np.asarray(b_eq) if b_eq else None,
+                       bounds=bounds, method="highs")
+    res = linprog(sign * problem.c, **constraints)
     if res.status == 2:
-        return "infeasible", None, None
+        # HiGHS's presolve reports some unbounded LPs as infeasible; with a
+        # zero objective nothing is unbounded, so that solve decides
+        feasible = linprog(np.zeros_like(problem.c), **constraints).status == 0
+        return ("unbounded" if feasible else "infeasible"), None, None
     if res.status == 3:
         return "unbounded", None, None
     assert res.status == 0, f"linprog failed: {res.message}"

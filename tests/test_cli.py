@@ -173,6 +173,24 @@ def test_eval_agnostic_mode_override(tmp_path):
     assert methods == {"Benchmark", "CostAware", "Actual"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["datagen", "--case", CASE3, "--count", "-1"],
+    ["eval", "--count", "0"],
+    ["eval", "--epsilon", "-1"],
+    ["eval", "--k", "0"],
+], ids=["datagen_count", "eval_count", "eval_epsilon", "eval_k"])
+def test_bad_count_or_override_fails_before_sampling(tmp_path, monkeypatch, argv):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("loads were drawn before the input was checked")
+
+    monkeypatch.setattr("uc_screen.experiments._feasible_draws", no_sampling)
+    if argv[0] == "eval":
+        argv = argv + ["--spec", str(eval_spec_file(tmp_path))]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_empty_dataset_is_runtime_failure(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import lp_vertex_enumeration
+from oracles import _linprog_solve, lp_vertex_enumeration
 from uc_screen.errors import DimensionError
 from uc_screen.lp import (
     INFEASIBLE,
@@ -47,6 +47,49 @@ def test_random_lps_match_vertex_enumeration():
             1e-8 * max(1.0, abs(expected_value)), f"trial {trial}"
         assert constraint_residuals(problem, sol.x).max() <= 1e-7
     assert n_optimal >= 30  # the generator should not be degenerate
+
+
+def random_unboxed_lp(rng):
+    """A random LP whose variables are free, lower-only, upper-only or
+    fixed, with equality rows and sometimes an exact duplicate row."""
+    n = int(rng.integers(2, 6))
+    m = int(rng.integers(1, n + 2))
+    A = np.round(rng.normal(size=(m, n)), 2)
+    b = np.round(rng.normal(scale=2.0, size=m), 2)
+    relations = [str(rng.choice(["<=", ">=", "="], p=[0.4, 0.4, 0.2]))
+                 for _ in range(m)]
+    if rng.random() < 0.3:
+        i = int(rng.integers(m))
+        A = np.vstack([A, A[i]])
+        b = np.append(b, b[i])
+        relations.append(relations[i])
+    kind = rng.choice(["free", "lower", "upper", "fixed"], size=n)
+    bound = np.round(rng.uniform(-3.0, 3.0, size=n), 2)
+    lb = np.where((kind == "lower") | (kind == "fixed"), bound, -np.inf)
+    ub = np.where((kind == "upper") | (kind == "fixed"), bound, np.inf)
+    c = np.round(rng.normal(size=n), 2)
+    sense = "min" if rng.random() < 0.5 else "max"
+    return LpProblem(sense=sense, c=c, A=A, relations=tuple(relations), b=b,
+                     lb=lb, ub=ub)
+
+
+def test_random_unboxed_lps_match_highs():
+    rng = np.random.default_rng(2026)
+    counts = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    for trial in range(400):
+        problem = random_unboxed_lp(rng)
+        expected_status, expected_value, _ = _linprog_solve(
+            problem, problem.lb, problem.ub)
+        sol = solve_lp(problem)
+        assert sol.status == expected_status, \
+            f"trial {trial}: {sol.status} != {expected_status}"
+        counts[sol.status] += 1
+        if expected_status != OPTIMAL:
+            continue
+        assert abs(sol.objective_value - expected_value) <= \
+            1e-8 * max(1.0, abs(expected_value)), f"trial {trial}"
+        assert constraint_residuals(problem, sol.x).max() <= 1e-7, f"trial {trial}"
+    assert min(counts.values()) >= 80, counts  # every status is exercised
 
 
 def test_beale_cycling_instance():

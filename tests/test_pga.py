@@ -4,7 +4,7 @@ import pytest
 from oracles import lp_vertex_enumeration, project_enumeration
 from test_predictor import random_model
 from uc_screen import (LoadRegion, PgaConfig, PgaResult, mlp_forward,
-                       mlp_input_grad, project_region, run_pga)
+                       mlp_input_grad, project_region, run_pga, sample_loads)
 from uc_screen.errors import DimensionError
 from uc_screen.lp import LpProblem
 
@@ -78,6 +78,19 @@ def test_projection_shape_check():
         project_region([1.0, 2.0, 3.0], region)
     with pytest.raises(DimensionError):
         project_region(np.ones((4, 3)), region)
+
+
+def test_level_in_constructor_slack_projects_to_box_corner():
+    # LoadRegion accepts a level up to 1e-6 relative outside the box's
+    # totals; such a region holds one load, the box corner
+    for level, corner in ((66.00003, "upper"), (53.99997, "lower")):
+        region = LoadRegion(nominal=np.array([10.0, 20.0, 30.0]),
+                            variation=0.1, level=level)
+        x = project_region([1.0, 25.0, 3.0], region)
+        np.testing.assert_array_equal(x, getattr(region, corner))
+        assert region.contains(x)
+        loads = sample_loads(region, 3, np.random.default_rng(0))
+        assert all(region.contains(load) for load in loads)
 
 
 def test_batched_projection_matches_rows():
