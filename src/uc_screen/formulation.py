@@ -34,6 +34,7 @@ __all__ = [
     "build_formulation",
     "assemble_uc",
     "assemble_screening",
+    "assemble_relaxation",
     "extract_solution",
     "flow_upper_row",
     "flow_lower_row",
@@ -239,9 +240,25 @@ def assemble_screening(form: UcFormulation, context, j: int,
         raise IndexError(f"line index {j} out of range [0, {form.n_lines})")
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
+    return _relaxed_lp(form, context, j, direction, form.K[j],
+                       f"screen_line{j}_{direction}")
 
+
+def assemble_relaxation(form: UcFormulation, context) -> LpProblem:
+    """The screening polytope with every flow row and a zero objective.
+
+    Each screening LP drops rows from this one, so when it is feasible
+    every screening LP of the context is feasible too.
+    """
+    return _relaxed_lp(form, context, None, "min",
+                       np.zeros(form.n_buses - 1), "screen_relaxation")
+
+
+def _relaxed_lp(form: UcFormulation, context, skip_line: int | None,
+                sense: str, flow_objective: np.ndarray,
+                name: str) -> LpProblem:
     n, ng, nf = form.n_buses, form.n_gens, form.n_buses - 1
-    A, relations, b, names, balance = _core_rows(form, skip_line=j)
+    A, relations, b, names, balance = _core_rows(form, skip_line=skip_line)
     lb, ub = _base_bounds(form)
     ub[:ng] = 1.0  # u relaxed to [0, 1]; already continuous here
 
@@ -275,10 +292,9 @@ def assemble_screening(form: UcFormulation, context, j: int,
         b = np.append(b, context.cost_bound * (1.0 + context.epsilon))
 
     c = np.zeros(A.shape[1])
-    c[2 * ng:2 * ng + nf] = form.K[j]
-    return LpProblem(sense=direction, c=c, A=A, relations=tuple(relations),
-                     b=b, lb=lb, ub=ub, name=f"screen_line{j}_{direction}",
-                     row_names=tuple(names))
+    c[2 * ng:2 * ng + nf] = flow_objective
+    return LpProblem(sense=sense, c=c, A=A, relations=tuple(relations),
+                     b=b, lb=lb, ub=ub, name=name, row_names=tuple(names))
 
 
 def extract_solution(form: UcFormulation, lp_solution) -> UcSolution:

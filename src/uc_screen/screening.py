@@ -8,6 +8,15 @@ optionally capped in cost.  A side whose bound cannot be attained, with a
 margin of ``1e-6 * flow_limit``, is redundant and can be dropped from the
 unit-commitment problem without changing its optimum.
 
+Most sides are decided without an LP.  Dropping the other lines' flow
+rows as well leaves a relaxation whose optimum has a closed form (a
+continuous knapsack over the dispatch, and over the load in a region,
+with the cost cap priced in by weak duality), and its maximum bounds
+the LP's from above.  A side the relaxed bound already proves redundant
+gets no LP, and its verdict reports that relaxed bound as ``max_flow``
+(or ``min_flow``), which is looser than the exact value.  Only the other
+sides run their LP, so the verdicts are those the LPs alone would give.
+
 Side indexing convention used by reports, datasets, and the KNN baseline:
 side ``j`` is line j's upper bound, side ``m + j`` its lower bound.
 """
@@ -16,14 +25,16 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ContextMismatch, DimensionError, EmptyRegion,
                      NumericalError, ScreeningInfeasible)
-from .formulation import (UcFormulation, UcInstance, assemble_screening,
-                          assemble_uc, flow_lower_row, flow_upper_row)
+from .formulation import (UcFormulation, UcInstance, assemble_relaxation,
+                          assemble_screening, assemble_uc, flow_lower_row,
+                          flow_upper_row)
 from .lp import INFEASIBLE, OPTIMAL, solve_lp
 from .milp import MilpProblem
 
@@ -117,12 +128,15 @@ class ScreeningContext:
             raise ValueError("exactly one of load/region must be given")
         if self.load is not None:
             load = np.asarray(self.load, dtype=float).copy()
+            if not np.isfinite(load).all():
+                raise ValueError("load must be finite")
             load.flags.writeable = False
             object.__setattr__(self, "load", load)
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-        if self.cost_bound is not None and self.cost_bound < 0:
-            raise ValueError("cost_bound must be >= 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError("epsilon must be finite and >= 0")
+        if self.cost_bound is not None and \
+                not (math.isfinite(self.cost_bound) and self.cost_bound >= 0):
+            raise ValueError("cost_bound must be finite and >= 0")
 
     @classmethod
     def sample_aware(cls, load, cost_bound: float | None = None,
@@ -167,11 +181,26 @@ class ScreeningContext:
 
 @dataclass(frozen=True)
 class LineVerdict:
+    """Line j's two sides and the flow bounds that decided them.
+
+    ``max_flow``/``min_flow`` is the exact LP optimum for a side that ran
+    its LP, the closed-form relaxed bound (looser than the optimum) for
+    a side that bound proved redundant, and ±limit for a line kept whole
+    because its LP was infeasible.
+    """
+
     line: int
     upper_redundant: bool
     lower_redundant: bool
     max_flow: float
     min_flow: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "line", int(self.line))
+        for name in ("upper_redundant", "lower_redundant"):
+            object.__setattr__(self, name, bool(getattr(self, name)))
+        for name in ("max_flow", "min_flow"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def to_json_dict(self) -> dict:
         return {"line": self.line,
@@ -246,6 +275,15 @@ def _directional_flow(form: UcFormulation, context, j: int,
     return float(sol.objective_value)
 
 
+def _verdict(form: UcFormulation, j: int, max_flow: float,
+             min_flow: float) -> LineVerdict:
+    limit = float(form.f_max[j])
+    tol = TOL_SCREEN_REL * limit
+    return LineVerdict(line=j, upper_redundant=max_flow < limit - tol,
+                       lower_redundant=min_flow > -limit + tol,
+                       max_flow=max_flow, min_flow=min_flow)
+
+
 def screen_line(form: UcFormulation, context: ScreeningContext,
                 j: int) -> LineVerdict:
     """Max/min the line-j flow over the relaxed set and flag each side.
@@ -254,25 +292,125 @@ def screen_line(form: UcFormulation, context: ScreeningContext,
     with a cost cap means C̄(1+ε) sits below the minimal relaxed cost;
     callers should raise epsilon or keep the line's constraints.
     """
-    max_flow = _directional_flow(form, context, j, "max")
-    min_flow = _directional_flow(form, context, j, "min")
-    limit = float(form.f_max[j])
-    tol = TOL_SCREEN_REL * limit
-    return LineVerdict(
-        line=j,
-        upper_redundant=max_flow < limit - tol,
-        lower_redundant=min_flow > -limit + tol,
-        max_flow=max_flow,
-        min_flow=min_flow,
-    )
+    return _verdict(form, j, _directional_flow(form, context, j, "max"),
+                    _directional_flow(form, context, j, "min"))
+
+
+def _knapsack_max(W: np.ndarray, cap: np.ndarray, total: float) -> np.ndarray:
+    """max W·y over 0 <= y <= cap with sum(y) = total, along the last axis.
+
+    Sort and fill: the largest weights take their whole capacity until
+    the total is met.  Requires 0 <= total <= cap.sum().
+    """
+    order = np.argsort(-W, axis=-1)
+    room = cap[order]
+    fill = np.clip(total - (np.cumsum(room, axis=-1) - room), 0.0, room)
+    return np.sum(np.take_along_axis(W, order, axis=-1) * fill, axis=-1)
+
+
+def _relaxed_side_bounds(form: UcFormulation,
+                         context: ScreeningContext) -> np.ndarray:
+    """An upper bound on each side's flow, +inf where none is proven.
+
+    Side j bounds line j's flow and side m + j its negation, over a
+    relaxation of the screening LP that keeps the dispatch box
+    x in [0, p_max] (implied by u in [0, 1] and the generator rows), the
+    balance 1ᵀx = 1ᵀℓ, an agnostic context's load box and level, and the
+    cost cap, but no flow row.  Flows are H(ℓ − Gx) with H = K·A̅⁺, so
+    each side is a continuous knapsack over x, plus one over ℓ when the
+    load ranges.  The cap cᵀx <= C is priced in by weak duality: every
+    μ >= 0 gives the bound μC + knapsack_max(w − μc), which is piecewise
+    linear and convex in μ with breakpoints where two generators' w − μc
+    cross, so its minimum over μ = 0 and those crossings is the relaxed
+    optimum.  Every bound is +inf when the relaxation is empty: the load
+    total outside [0, Σp_max] or the level outside the load box, or the
+    cap below the relaxation's least cost.
+    """
+    n, m = form.n_buses, form.n_lines
+    shape = (context.load if context.is_sample_aware
+             else context.region.nominal).shape
+    if shape != (n,):
+        raise DimensionError(f"load has shape {shape}, expected ({n},)")
+    no_bound = np.full(2 * m, np.inf)
+
+    H = form.K @ np.linalg.pinv(form.A_bar)         # (m, n) PTDF
+    D = np.vstack([H, -H])                          # side weights on ℓ − Gx
+    W = -D[:, form.gen_bus]                         # side weights on x
+    p = form.gen_max
+    if context.is_sample_aware:
+        total = float(context.load.sum())
+        const = D @ context.load
+    else:
+        lo, hi = context.region.lower, context.region.upper
+        total = context.region.level
+        spare = total - float(lo.sum())
+        if not 0.0 <= spare <= float((hi - lo).sum()):
+            return no_bound
+        const = D @ lo + _knapsack_max(D, hi - lo, spare)
+    if not 0.0 <= total <= float(p.sum()):
+        return no_bound
+
+    cap = context.effective_cost_bound
+    if cap is None:
+        return const + _knapsack_max(W, p, total)
+    c = form.gen_cost
+    if cap < -_knapsack_max(-c, p, total):
+        return no_bound
+    i, k = np.triu_indices(form.n_gens, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = (W[:, i] - W[:, k]) / (c[i] - c[k])
+    mu = np.where(np.isfinite(cross) & (cross > 0.0), cross, 0.0)
+    mu = np.hstack([np.zeros((2 * m, 1)), mu])      # (2m, 1 + pairs)
+    dual = mu * cap + _knapsack_max(W[:, None, :] - mu[..., None] * c,
+                                    p, total)
+    return const + dual.min(axis=1)
+
+
+def _screen(form: UcFormulation, context: ScreeningContext
+            ) -> tuple[tuple[LineVerdict, ...], list[int]]:
+    """Every line's verdict, and the lines kept whole because an LP of
+    theirs was infeasible.
+
+    A side runs its LP unless its relaxed bound proves it redundant.
+    The bounds are trusted only after one zero-objective LP has shown
+    the screening polytope with every flow row feasible: each screening
+    LP drops rows from it, so none can be infeasible, and a side the
+    bound decides gets the verdict its LP would give.  Otherwise every
+    side runs its LP, max before min, and a line stops at its first
+    infeasible LP.
+    """
+    m = form.n_lines
+    bound = _relaxed_side_bounds(form, context)
+    threshold = np.tile(form.f_max - TOL_SCREEN_REL * form.f_max, 2)
+    if np.any(bound < threshold) and \
+            solve_lp(assemble_relaxation(form, context)).status != OPTIMAL:
+        bound = np.full(2 * m, np.inf)
+    verdicts = []
+    fallen_back = []
+    for j in range(m):
+        try:
+            if bound[j] < threshold[j]:
+                max_flow = bound[j]
+            else:
+                max_flow = _directional_flow(form, context, j, "max")
+            if bound[m + j] < threshold[m + j]:
+                min_flow = -bound[m + j]
+            else:
+                min_flow = _directional_flow(form, context, j, "min")
+        except ScreeningInfeasible:
+            fallen_back.append(j)
+            max_flow, min_flow = form.f_max[j], -form.f_max[j]
+        verdicts.append(_verdict(form, j, max_flow, min_flow))
+    return tuple(verdicts), fallen_back
 
 
 def screen_all(form: UcFormulation,
                context: ScreeningContext) -> ScreeningReport:
-    """Screen every line; raises ScreeningInfeasible at the first
-    infeasible line."""
-    verdicts = tuple(screen_line(form, context, j)
-                     for j in range(form.n_lines))
+    """Screen every line; raises ScreeningInfeasible for the first line
+    whose LP is infeasible."""
+    verdicts, fallen_back = _screen(form, context)
+    if fallen_back:
+        raise ScreeningInfeasible(fallen_back[0])
     return ScreeningReport(verdicts=verdicts, context=context)
 
 
@@ -286,22 +424,12 @@ def screen_all_keeping_infeasible(form: UcFormulation,
     lines that fell back are named in one warning.  Returns the report
     and the number of lines that fell back.
     """
-    verdicts = []
-    fallen_back = []
-    for j in range(form.n_lines):
-        try:
-            verdicts.append(screen_line(form, context, j))
-        except ScreeningInfeasible:
-            fallen_back.append(j)
-            limit = float(form.f_max[j])
-            verdicts.append(LineVerdict(line=j, upper_redundant=False,
-                                        lower_redundant=False,
-                                        max_flow=limit, min_flow=-limit))
+    verdicts, fallen_back = _screen(form, context)
     if fallen_back:
         _log.warning("screening LP infeasible for %d of %d lines; keeping "
                      "both sides of lines %s", len(fallen_back),
                      form.n_lines, fallen_back)
-    return (ScreeningReport(verdicts=tuple(verdicts), context=context),
+    return (ScreeningReport(verdicts=verdicts, context=context),
             len(fallen_back))
 
 

@@ -3,12 +3,15 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from oracles import lp_vertex_enumeration
+from oracles import (_linprog_solve, dc_flows, lp_vertex_enumeration,
+                     milp_commitment_enumeration)
 from test_milp import random_small_case
 from uc_screen import (
     ContextMismatch,
     EmptyRegion,
+    LineVerdict,
     LoadRegion,
     ScreeningContext,
     ScreeningInfeasible,
@@ -29,6 +32,7 @@ from uc_screen import (
     solve_milp,
 )
 from uc_screen.errors import DimensionError
+from uc_screen.screening import TOL_SCREEN_REL, _relaxed_side_bounds
 
 
 def two_bus_case(flow_limit, second_gen=False):
@@ -311,3 +315,255 @@ def test_fallback_runs_each_lp_at_most_once(form14, case14, monkeypatch):
     # one pass: the max-LP of each line is infeasible, so its min-LP is
     # never run and no line is screened twice
     assert statuses == ["infeasible"] * form14.n_lines
+
+
+# --- verdicts and contexts from numpy values -------------------------------
+
+def test_verdict_fields_are_python_scalars():
+    """Verdicts built from numpy comparisons must count and serialise like
+    plain bools: np.bool_ + np.bool_ is a logical OR, and json rejects it."""
+    flows = np.array([5.0, -5.0])
+    verdicts = (
+        LineVerdict(np.int64(0), flows[0] < 10.0, flows[1] > -10.0,
+                    flows[0], flows[1]),
+        LineVerdict(1, np.True_, np.False_, np.float64(9.0), np.float64(-3.0)),
+    )
+    for v in verdicts:
+        assert type(v.line) is int
+        assert type(v.upper_redundant) is bool
+        assert type(v.lower_redundant) is bool
+        assert type(v.max_flow) is float and type(v.min_flow) is float
+    report = ScreeningReport(verdicts=verdicts,
+                             context=ScreeningContext.sample_aware(LOAD))
+    assert report.pct_reduced == pytest.approx(0.75)
+    again = ScreeningReport.from_json(report.to_json())
+    assert again.pct_reduced == pytest.approx(0.75)
+    assert again.verdicts == verdicts
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(load=np.array([0.0, np.nan])),
+    dict(load=np.array([np.inf, 50.0])),
+    dict(load=np.array([0.0, -np.inf])),
+    dict(load=LOAD, cost_bound=float("nan")),
+    dict(load=LOAD, cost_bound=float("inf")),
+    dict(load=LOAD, cost_bound=500.0, epsilon=float("nan")),
+    dict(load=LOAD, cost_bound=500.0, epsilon=float("inf")),
+    dict(region=LoadRegion(nominal=LOAD, variation=0.1),
+         cost_bound=float("nan")),
+])
+def test_context_rejects_non_finite_inputs(kwargs):
+    with pytest.raises(ValueError):
+        ScreeningContext(**kwargs)
+
+
+# --- the closed-form pre-screen ---------------------------------------------
+
+def _screening_contexts(case, form, rng):
+    """Aware contexts, uncapped and capped at the true optimum x 1.01, and
+    a ±20% region, uncapped and capped at x 1.05; no cap is set where the
+    load has no feasible commitment."""
+    load = case.nominal_load * rng.uniform(0.6, 1.0)
+    contexts = [ScreeningContext.sample_aware(load)]
+    status, cost, _ = milp_commitment_enumeration(assemble_uc(form, load))
+    if status == "optimal":
+        contexts.append(ScreeningContext.sample_aware(
+            load, cost_bound=cost * 1.01))
+    region = LoadRegion(nominal=case.nominal_load, variation=0.2)
+    contexts.append(ScreeningContext.sample_agnostic(region))
+    if status == "optimal":
+        contexts.append(ScreeningContext.sample_agnostic(
+            region, cost_bound=cost * 1.05))
+    return contexts
+
+
+def _oracle_cases(case14):
+    rng = np.random.default_rng(4242)
+    cases = [random_small_case(rng) for _ in range(16)] + [case14]
+    return [(case, build_formulation(case)) for case in cases], rng
+
+
+def test_relaxed_bounds_cover_the_screening_lp_optimum(case14):
+    """Every relaxed side bound is at least HiGHS's optimum of that side's
+    screening LP: the relaxation only ever drops constraints."""
+    cases, rng = _oracle_cases(case14)
+    compared = tightened = 0
+    for case, form in cases:
+        m = form.n_lines
+        for ctx in _screening_contexts(case, form, rng):
+            bound = _relaxed_side_bounds(form, ctx)
+            if ctx.cost_bound is not None:
+                uncapped = _relaxed_side_bounds(form, ScreeningContext(
+                    load=ctx.load, region=ctx.region))
+                tightened += int(np.sum(bound < uncapped - 1e-9))
+            for j in range(m):
+                for side, direction, sign in ((j, "max", 1.0),
+                                              (m + j, "min", -1.0)):
+                    lp = assemble_screening(form, ctx, j, direction)
+                    status, value, _ = _linprog_solve(lp, lp.lb, lp.ub)
+                    if status != "optimal":
+                        continue
+                    v = sign * value
+                    assert bound[side] >= v - 1e-7 * max(1.0, abs(v))
+                    compared += int(np.isfinite(bound[side]))
+    assert compared >= 400
+    assert tightened >= 20      # the cap's dual term is exercised
+
+
+def _relaxation_optimum(case, form, ctx, side):
+    """HiGHS on the relaxation itself: dispatch box, balance, load box and
+    level, cost cap; flows from a grounded-Laplacian solve per bus."""
+    n, ng = form.n_buses, form.n_gens
+    ptdf = np.column_stack([dc_flows(case, np.eye(n)[b] - np.eye(n)[0])
+                            for b in range(n)])
+    m = form.n_lines
+    d = ptdf[side] if side < m else -ptdf[side - m]
+    G = form.gen_incidence
+    # variables [x (ng) | load (n)]; maximise d @ (G x - load), the
+    # side's signed flow under the bus injections G x - load
+    c = -np.concatenate([d @ G, -d])
+    A_eq = [np.concatenate([np.ones(ng), -np.ones(n)])]
+    b_eq = [0.0]
+    if ctx.is_sample_aware:
+        load_bounds = list(zip(ctx.load, ctx.load))
+    else:
+        load_bounds = list(zip(ctx.region.lower, ctx.region.upper))
+        A_eq.append(np.concatenate([np.zeros(ng), np.ones(n)]))
+        b_eq.append(ctx.region.level)
+    A_ub = b_ub = None
+    if ctx.cost_bound is not None:
+        A_ub = [np.concatenate([form.gen_cost, np.zeros(n)])]
+        b_ub = [ctx.effective_cost_bound]
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=[(0.0, p) for p in form.gen_max] + load_bounds,
+                  method="highs")
+    return -res.fun if res.status == 0 else None
+
+
+def test_relaxed_bounds_are_the_relaxation_optimum(case14):
+    """The sort-and-fill knapsacks and the minimum over the dual
+    breakpoints solve the relaxation exactly, capped or not."""
+    cases, rng = _oracle_cases(case14)
+    two_bus = two_bus_case(60.0, second_gen=True)
+    # caps from binding (the optimum, 500) to slack (above every dispatch)
+    runs = [(two_bus, ScreeningContext.sample_aware(LOAD, cost_bound=cap))
+            for cap in (500.0, 1000.0, 1e4)]
+    runs += [(case, ctx) for case, form in cases[::3]
+             for ctx in _screening_contexts(case, form, rng)]
+    compared = 0
+    for case, ctx in runs:
+        form = build_formulation(case)
+        bound = _relaxed_side_bounds(form, ctx)
+        for side in range(2 * form.n_lines):
+            v = _relaxation_optimum(case, form, ctx, side)
+            if v is None:
+                assert np.isinf(bound[side])
+                continue
+            assert bound[side] == pytest.approx(v, abs=1e-7 * max(1.0, abs(v)))
+            compared += 1
+    assert compared >= 100
+
+
+def _all_lp_reference(form, ctx):
+    """Kept mask, fallback count and per-side values of screening every
+    line by its LPs alone, keeping both sides of a line that raises."""
+    m = form.n_lines
+    kept = np.ones(2 * m, dtype=bool)
+    values = np.full(2 * m, np.nan)
+    n_fallbacks = 0
+    for j in range(m):
+        try:
+            v = screen_line(form, ctx, j)
+        except ScreeningInfeasible:
+            n_fallbacks += 1
+            continue
+        kept[j], kept[m + j] = not v.upper_redundant, not v.lower_redundant
+        values[j], values[m + j] = v.max_flow, -v.min_flow
+    return kept, n_fallbacks, values
+
+
+def _lp_min_cost(form, load):
+    """Least cost over the screening polytope with every flow row."""
+    return solve_lp(assemble_uc(form, load).base).objective_value
+
+
+def test_prescreen_keeps_the_all_lp_verdicts(case14, form14):
+    cases, rng = _oracle_cases(case14)
+    runs = [(form, ctx) for case, form in cases
+            for ctx in _screening_contexts(case, form, rng)]
+    load = case14.nominal_load
+    runs += [(form14, ScreeningContext.sample_aware(load, cost_bound=1.0)),
+             (form14, ScreeningContext.sample_aware(
+                 load, cost_bound=0.999 * _lp_min_cost(form14, load)))]
+    fallbacks = []
+    for form, ctx in runs:
+        report, n_fallbacks = screen_all_keeping_infeasible(form, ctx)
+        kept, expected_fallbacks, values = _all_lp_reference(form, ctx)
+        np.testing.assert_array_equal(report.kept_mask(), kept)
+        assert n_fallbacks == expected_fallbacks
+        fallbacks.append(n_fallbacks)
+        got = np.array([v.max_flow for v in report.verdicts]
+                       + [-v.min_flow for v in report.verdicts])
+        ran = np.isfinite(values)
+        # a kept side ran its LP; a dropped one may report a looser bound
+        np.testing.assert_array_equal(got[ran & kept], values[ran & kept])
+        assert np.all(got[ran] >= values[ran] - 1e-7 * np.maximum(
+            1.0, np.abs(values[ran])))
+    # the last context's relaxation is feasible but its polytope with every
+    # flow row is not, so the guard LP sends every side to its LP
+    assert fallbacks[-2:] == [20, 19]
+
+
+def test_infeasible_guard_runs_every_lp(form14, case14, monkeypatch):
+    load = case14.nominal_load
+    ctx = ScreeningContext.sample_aware(
+        load, cost_bound=0.999 * _lp_min_cost(form14, load))
+    bound = _relaxed_side_bounds(form14, ctx)
+    assert np.sum(bound < np.tile(form14.f_max, 2) * (1 - TOL_SCREEN_REL)) >= 30
+    statuses = []
+
+    def counting_solve_lp(problem):
+        sol = solve_lp(problem)
+        statuses.append(sol.status)
+        return sol
+
+    monkeypatch.setattr("uc_screen.screening.solve_lp", counting_solve_lp)
+    _, n_fallbacks = screen_all_keeping_infeasible(form14, ctx)
+    # guard, then each line's max-LP, plus the one feasible line's min-LP
+    assert n_fallbacks == 19
+    assert statuses.count("infeasible") == 1 + 19
+    assert len(statuses) == 1 + form14.n_lines + 1
+
+
+def test_uncapped_nominal_screen_needs_few_lps(form14, case14, monkeypatch):
+    calls = []
+
+    def counting_solve_lp(problem):
+        calls.append(problem.name)
+        return solve_lp(problem)
+
+    monkeypatch.setattr("uc_screen.screening.solve_lp", counting_solve_lp)
+    report, n_fallbacks = screen_all_keeping_infeasible(
+        form14, ScreeningContext.sample_aware(case14.nominal_load))
+    assert n_fallbacks == 0
+    assert len(calls) <= 9          # the all-LP loop makes 40
+    assert report.pct_reduced > 0.9
+
+
+@pytest.mark.parametrize("make_context", [
+    lambda load: ScreeningContext.sample_aware(load[:-1]),
+    lambda load: ScreeningContext.sample_aware(load[:-1], cost_bound=1e4),
+    lambda load: ScreeningContext.sample_agnostic(
+        LoadRegion(nominal=load[:-1], variation=0.1)),
+])
+def test_wrong_shape_load_raises_before_any_lp(form14, case14, monkeypatch,
+                                                make_context):
+    def no_lp(problem):
+        raise AssertionError("an LP ran")
+
+    monkeypatch.setattr("uc_screen.screening.solve_lp", no_lp)
+    ctx = make_context(case14.nominal_load)
+    with pytest.raises(DimensionError):
+        screen_all_keeping_infeasible(form14, ctx)
+    with pytest.raises(DimensionError):
+        screen_all(form14, ctx)
