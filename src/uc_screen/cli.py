@@ -192,7 +192,7 @@ def cmd_solve(args) -> int:
         doc = {"status": "optimal", "cost": uc.cost,
                "commitment": uc.u.astype(int).tolist(),
                "dispatch": uc.x.tolist(),
-               "flows": form.line_flows(uc.f).tolist()}
+               "flows": uc.flows.tolist()}
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc, indent=2) + "\n")
         _write_manifest(args.out, {"case": args.case}, {})

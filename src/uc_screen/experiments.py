@@ -154,9 +154,8 @@ def sample_loads(region: LoadRegion, count: int,
     return project_region(draws, region)
 
 
-def binding_mask(form: UcFormulation, f: np.ndarray) -> np.ndarray:
+def binding_mask(form: UcFormulation, flows: np.ndarray) -> np.ndarray:
     """(2m,) flags: side j / m+j binding iff |flow ∓ limit| <= 1e-6*limit."""
-    flows = form.line_flows(f)
     tol = TOL_SCREEN_REL * form.f_max
     return np.concatenate([np.abs(flows - form.f_max) <= tol,
                            np.abs(flows + form.f_max) <= tol])
@@ -213,7 +212,7 @@ def generate_dataset(case: NetworkCase | UcFormulation, region: LoadRegion,
                                           np.random.default_rng(seed))
     return Dataset(loads=np.reshape(loads, (count, form.n_buses)),
                    costs=[uc.cost for uc in solutions],
-                   binding=np.reshape([binding_mask(form, uc.f)
+                   binding=np.reshape([binding_mask(form, uc.flows)
                                        for uc in solutions],
                                       (count, 2 * form.n_lines)),
                    seed=seed, region=region)
@@ -292,7 +291,7 @@ def evaluate(spec: ExperimentSpec, *, case: NetworkCase | None = None,
             form, region, spec.n_validate,
             np.random.default_rng([spec.seeds["validate"], ri]))
         full_costs = [uc.cost for uc in solutions]
-        full_masks = [binding_mask(form, uc.f) for uc in solutions]
+        full_masks = [binding_mask(form, uc.flows) for uc in solutions]
         t_full = sum(times)
         pairs += [(uc.cost, mlp_forward(model, load))
                   for load, uc in zip(loads, solutions)]

@@ -1,19 +1,19 @@
-"""Fundamental-flow operators and problem assembly.
+"""The DC network model in PTDF form, and problem assembly.
 
-The DC network model is expressed through two operators built from the
-signed line-bus incidence A (+1 at the from-bus, -1 at the to-bus) and
-the susceptance diagonal D.  With the slack column removed (A_r):
+H is the network's (m, n) power transfer distribution factor matrix:
+column b holds the line flows when bus b injects one unit and the slack
+bus (bus 0) withdraws it, so the slack column is zero.  It is built
+once, by one solve with the slack-grounded Laplacian.  With G the
+(n, n_g) generator incidence, the line flows under dispatch x and load
+ℓ are H(Gx − ℓ) whenever the injections balance, 1ᵀx = 1ᵀℓ.
 
-    K     = D @ A_r            line flows from the reduced angle vector
-    A_bar = -A.T @ D @ A_r     nodal balance contribution of the flows
-
-so the flow coordinate f lives in R^(n-1) (it is the reduced phase-angle
-vector, slack angle pinned to 0), K @ f gives all line flows, and
-x + A_bar @ f = load is exact nodal balance.
-
-Assembled problems share one variable and row layout, documented at
-``assemble_uc``; the screening assembly reuses it minus the screened
-line's flow rows.
+Every assembled problem shares one layout, documented at ``_assemble``:
+columns [u | x | ℓ], generator rows, flow rows and one balance row.  The
+UC MILP pins ℓ by its bounds (lb = ub = load) and keeps u binary; the
+simplex never moves a column whose bounds are equal, so the load costs
+tableau width, not pivots.  A screening LP relaxes u to [0, 1], omits
+the screened line's two flow rows, bounds ℓ by the context's load box
+and appends its level row, plus a cost row under a cost cap.
 """
 
 from __future__ import annotations
@@ -43,18 +43,16 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class UcFormulation:
-    K: np.ndarray                 # (m, n-1)
-    A_bar: np.ndarray             # (n, n-1)
+    H: np.ndarray                 # (m, n) PTDF, slack column zero
     f_max: np.ndarray             # (m,)
     gen_cost: np.ndarray          # (n_g,)
     gen_min: np.ndarray           # (n_g,)
     gen_max: np.ndarray           # (n_g,)
     gen_bus: np.ndarray           # (n_g,) int
-    slack_bus: int
 
     def __post_init__(self):
-        for name in ("K", "A_bar", "f_max", "gen_cost", "gen_min",
-                     "gen_max", "gen_bus"):
+        for name in ("H", "f_max", "gen_cost", "gen_min", "gen_max",
+                     "gen_bus"):
             arr = np.asarray(getattr(self, name))
             arr = arr.astype(int if name == "gen_bus" else float)
             arr.flags.writeable = False
@@ -62,11 +60,11 @@ class UcFormulation:
 
     @property
     def n_buses(self) -> int:
-        return self.A_bar.shape[0]
+        return self.H.shape[1]
 
     @property
     def n_lines(self) -> int:
-        return self.K.shape[0]
+        return self.H.shape[0]
 
     @property
     def n_gens(self) -> int:
@@ -79,8 +77,13 @@ class UcFormulation:
         G[self.gen_bus, np.arange(self.n_gens)] = 1.0
         return G
 
-    def line_flows(self, f: np.ndarray) -> np.ndarray:
-        return self.K @ f
+
+def _checked_load(form: UcFormulation, load) -> np.ndarray:
+    load = np.asarray(load, dtype=float)
+    if load.shape != (form.n_buses,):
+        raise DimensionError(
+            f"load has shape {load.shape}, expected ({form.n_buses},)")
+    return load
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,11 +92,7 @@ class UcInstance:
     load: np.ndarray
 
     def __post_init__(self):
-        load = np.asarray(self.load, dtype=float).copy()
-        if load.shape != (self.formulation.n_buses,):
-            raise DimensionError(
-                f"load has shape {load.shape}, expected "
-                f"({self.formulation.n_buses},)")
+        load = _checked_load(self.formulation, self.load).copy()
         load.flags.writeable = False
         object.__setattr__(self, "load", load)
 
@@ -103,34 +102,34 @@ class UcSolution:
     status: str
     u: np.ndarray | None = None
     x: np.ndarray | None = None
-    f: np.ndarray | None = None
+    flows: np.ndarray | None = None   # (m,) line flows H(Gx − ℓ)
     cost: float | None = None
 
 
 def build_formulation(case: NetworkCase) -> UcFormulation:
-    """Construct K and A_bar; the slack is the lowest-index bus."""
+    """Construct the PTDF H; the slack is the lowest-index bus."""
     n, m = case.n_buses, case.n_lines
     edges = [(line.from_bus, line.to_bus) for line in case.lines]
     if _connected_components(n, edges) != 1:
         raise DisconnectedError("network graph is disconnected")
 
-    A_full = np.zeros((m, n))
+    A = np.zeros((m, n))          # signed line-bus incidence
     for j, line in enumerate(case.lines):
-        A_full[j, line.from_bus] = 1.0
-        A_full[j, line.to_bus] = -1.0
-    D = np.diag([line.susceptance for line in case.lines])
-    slack = 0
-    A_r = np.delete(A_full, slack, axis=1)
+        A[j, line.from_bus] = 1.0
+        A[j, line.to_bus] = -1.0
+    DA = np.array([line.susceptance for line in case.lines])[:, None] * A
+    # angles θ solve the grounded Laplacian A_rᵀ D A_r θ = p for the
+    # non-slack injections p, and the flows are D A_r θ
+    H = np.zeros((m, n))
+    H[:, 1:] = np.linalg.solve(A[:, 1:].T @ DA[:, 1:], DA[:, 1:].T).T
 
     return UcFormulation(
-        K=D @ A_r,
-        A_bar=-A_full.T @ D @ A_r,
+        H=H,
         f_max=np.array([line.flow_limit for line in case.lines]),
         gen_cost=np.array([g.cost for g in case.generators]),
         gen_min=np.array([g.p_min for g in case.generators]),
         gen_max=np.array([g.p_max for g in case.generators]),
         gen_bus=np.array([g.bus for g in case.generators], dtype=int),
-        slack_bus=slack,
     )
 
 
@@ -144,85 +143,57 @@ def flow_lower_row(form: UcFormulation, j: int) -> int:
     return 2 * form.n_gens + form.n_lines + j
 
 
-def _core_rows(form: UcFormulation, skip_line: int | None):
-    """Generation, flow (minus the skipped line), and balance rows.
+def _flow_rows(form: UcFormulation, lines) -> np.ndarray:
+    """The flows h_jᵀ(Gx − ℓ) of the given lines as rows over [u | x | ℓ]."""
+    H = form.H[lines]
+    return np.hstack([np.zeros((len(H), form.n_gens)), H[:, form.gen_bus], -H])
 
-    Columns cover [u | x | f]; callers append load columns or extra rows
-    as needed.  Returns (A, relations, b, names, balance_slice).
+
+def _assemble(form: UcFormulation, skip_line: int | None, lo, hi, extra,
+              sense: str, c: np.ndarray, name: str) -> LpProblem:
+    """One problem of the shared layout, with lo <= ℓ <= hi.
+
+    Columns: [u (n_g) | x (n_g) | ℓ (n)], u in [0, 1], x in [0, p_max].
+    Rows: gen lower x_i − p_min_i u_i >= 0 (n_g), gen upper
+    x_i − p_max_i u_i <= 0 (n_g), flow upper h_jᵀ(Gx − ℓ) <= f_max_j
+    (m), flow lower >= −f_max_j (m), balance 1ᵀx − 1ᵀℓ = 0, then the
+    ``extra`` rows, given as (name, coefficients, relation, rhs).  Line
+    skip_line's two flow rows are left out.
     """
-    n, m, ng = form.n_buses, form.n_lines, form.n_gens
-    nf = n - 1
-    n_cols = 2 * ng + nf
-    lines = [j for j in range(m) if j != skip_line]
-
-    rows = 2 * ng + 2 * len(lines) + n
-    A = np.zeros((rows, n_cols))
-    b = np.zeros(rows)
-    relations: list[str] = []
-    names: list[str] = []
-
-    r = 0
-    for i in range(ng):           # x_i - p_min_i * u_i >= 0
-        A[r, i] = -form.gen_min[i]
-        A[r, ng + i] = 1.0
-        relations.append(">=")
-        names.append(f"gen_lo_{i}")
-        r += 1
-    for i in range(ng):           # x_i - p_max_i * u_i <= 0
-        A[r, i] = -form.gen_max[i]
-        A[r, ng + i] = 1.0
-        relations.append("<=")
-        names.append(f"gen_up_{i}")
-        r += 1
-    for j in lines:               # (K f)_j <= f_max_j
-        A[r, 2 * ng:] = form.K[j]
-        b[r] = form.f_max[j]
-        relations.append("<=")
-        names.append(f"flow_up_{j}")
-        r += 1
-    for j in lines:               # (K f)_j >= -f_max_j
-        A[r, 2 * ng:] = form.K[j]
-        b[r] = -form.f_max[j]
-        relations.append(">=")
-        names.append(f"flow_lo_{j}")
-        r += 1
-    G = form.gen_incidence
-    balance_start = r
-    for i in range(n):            # sum_g x_g + (A_bar f)_i = load_i
-        A[r, ng:2 * ng] = G[i]
-        A[r, 2 * ng:] = form.A_bar[i]
-        relations.append("=")
-        names.append(f"balance_{i}")
-        r += 1
-
-    return A, relations, b, names, slice(balance_start, r)
-
-
-def _base_bounds(form: UcFormulation):
-    ng, nf = form.n_gens, form.n_buses - 1
-    lb = np.concatenate([np.zeros(ng), np.zeros(ng), np.full(nf, -np.inf)])
-    ub = np.concatenate([np.ones(ng), form.gen_max.copy(), np.full(nf, np.inf)])
-    return lb, ub
+    n, ng = form.n_buses, form.n_gens
+    lines = [j for j in range(form.n_lines) if j != skip_line]
+    k = len(lines)
+    gen_lo = np.hstack([-np.diag(form.gen_min), np.eye(ng), np.zeros((ng, n))])
+    gen_up = np.hstack([-np.diag(form.gen_max), np.eye(ng), np.zeros((ng, n))])
+    flow = _flow_rows(form, lines)
+    balance = np.concatenate([np.zeros(ng), np.ones(ng), -np.ones(n)])
+    A = np.vstack([gen_lo, gen_up, flow, flow, balance]
+                  + [row for _, row, _, _ in extra])
+    relations = ((">=",) * ng + ("<=",) * ng + ("<=",) * k + (">=",) * k
+                 + ("=",) + tuple(rel for _, _, rel, _ in extra))
+    b = np.concatenate([np.zeros(2 * ng), form.f_max[lines],
+                        -form.f_max[lines], [0.0],
+                        [rhs for _, _, _, rhs in extra]])
+    names = ([f"gen_lo_{i}" for i in range(ng)]
+             + [f"gen_up_{i}" for i in range(ng)]
+             + [f"flow_up_{j}" for j in lines]
+             + [f"flow_lo_{j}" for j in lines]
+             + ["balance"] + [row_name for row_name, _, _, _ in extra])
+    return LpProblem(sense=sense, c=c, A=A, relations=relations, b=b,
+                     lb=np.concatenate([np.zeros(2 * ng), lo]),
+                     ub=np.concatenate([np.ones(ng), form.gen_max, hi]),
+                     name=name, row_names=tuple(names))
 
 
 def assemble_uc(form: UcFormulation, load) -> MilpProblem:
     """Build the unit-commitment MILP for one load vector.
 
-    Variable layout: [u (n_g) | x (n_g) | f (n-1)].
-    Row layout: gen lower (n_g), gen upper (n_g), flow upper (m),
-    flow lower (m), balance (n).
+    The shared layout with u binary and ℓ pinned to the load (lb = ub).
     """
-    load = np.asarray(load, dtype=float)
-    if load.shape != (form.n_buses,):
-        raise DimensionError(
-            f"load has shape {load.shape}, expected ({form.n_buses},)")
-    A, relations, b, names, balance = _core_rows(form, skip_line=None)
-    b[balance] = load
-    lb, ub = _base_bounds(form)
+    load = _checked_load(form, load)
     ng = form.n_gens
-    c = np.concatenate([np.zeros(ng), form.gen_cost, np.zeros(form.n_buses - 1)])
-    base = LpProblem(sense="min", c=c, A=A, relations=tuple(relations), b=b,
-                     lb=lb, ub=ub, name="uc", row_names=tuple(names))
+    c = np.concatenate([np.zeros(ng), form.gen_cost, np.zeros(form.n_buses)])
+    base = _assemble(form, None, load, load, [], "min", c, "uc")
     return MilpProblem(base=base, binary_vars=tuple(range(ng)))
 
 
@@ -231,16 +202,16 @@ def assemble_screening(form: UcFormulation, context, j: int,
     """Relaxed max/min line-flow LP for line j under a screening context.
 
     The commitment variables are relaxed to [0, 1]; the screened line's
-    own flow rows are omitted; the objective is the physical flow K[j]@f.
-    Sample-agnostic contexts add the load as box-bounded variables tied
-    to the balance rows plus one total-level row; a cost bound appends
-    one ``cost`` row  gen_cost@x <= C(1+epsilon).
+    own flow rows are omitted; the objective is the flow h_jᵀ(Gx − ℓ).
+    The load columns range over the context's load box, tied by one
+    ``load_level`` row; a cost bound appends one ``cost`` row
+    gen_cost@x <= C(1+epsilon).
     """
     if not 0 <= j < form.n_lines:
         raise IndexError(f"line index {j} out of range [0, {form.n_lines})")
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
-    return _relaxed_lp(form, context, j, direction, form.K[j],
+    return _relaxed_lp(form, context, j, direction, _flow_rows(form, [j])[0],
                        f"screen_line{j}_{direction}")
 
 
@@ -251,61 +222,34 @@ def assemble_relaxation(form: UcFormulation, context) -> LpProblem:
     every screening LP of the context is feasible too.
     """
     return _relaxed_lp(form, context, None, "min",
-                       np.zeros(form.n_buses - 1), "screen_relaxation")
+                       np.zeros(2 * form.n_gens + form.n_buses),
+                       "screen_relaxation")
 
 
 def _relaxed_lp(form: UcFormulation, context, skip_line: int | None,
-                sense: str, flow_objective: np.ndarray,
-                name: str) -> LpProblem:
-    n, ng, nf = form.n_buses, form.n_gens, form.n_buses - 1
-    A, relations, b, names, balance = _core_rows(form, skip_line=skip_line)
-    lb, ub = _base_bounds(form)
-    ub[:ng] = 1.0  # u relaxed to [0, 1]; already continuous here
-
-    agnostic = context.region is not None
-    if agnostic:
-        region = context.region
-        n_cols = A.shape[1]
-        A = np.hstack([A, np.zeros((A.shape[0], n))])
-        A[balance, n_cols:] = -np.eye(n)
-        level_row = np.zeros((1, n_cols + n))
-        level_row[0, n_cols:] = 1.0
-        A = np.vstack([A, level_row])
-        relations.append("=")
-        names.append("load_level")
-        b = np.append(b, region.level)
-        lb = np.concatenate([lb, region.lower])
-        ub = np.concatenate([ub, region.upper])
-    else:
-        load = np.asarray(context.load, dtype=float)
-        if load.shape != (n,):
-            raise DimensionError(
-                f"load has shape {load.shape}, expected ({n},)")
-        b[balance] = load
-
-    if context.cost_bound is not None:
-        cost_row = np.zeros((1, A.shape[1]))
-        cost_row[0, ng:2 * ng] = form.gen_cost
-        A = np.vstack([A, cost_row])
-        relations.append("<=")
-        names.append("cost")
-        b = np.append(b, context.cost_bound * (1.0 + context.epsilon))
-
-    c = np.zeros(A.shape[1])
-    c[2 * ng:2 * ng + nf] = flow_objective
-    return LpProblem(sense=sense, c=c, A=A, relations=tuple(relations),
-                     b=b, lb=lb, ub=ub, name=name, row_names=tuple(names))
+                sense: str, c: np.ndarray, name: str) -> LpProblem:
+    lo, hi, level = context.load_box
+    lo = _checked_load(form, lo)
+    ng, n = form.n_gens, form.n_buses
+    extra = [("load_level", np.concatenate([np.zeros(2 * ng), np.ones(n)]),
+              "=", level)]
+    cap = context.effective_cost_bound
+    if cap is not None:
+        extra.append(("cost", np.concatenate([np.zeros(ng), form.gen_cost,
+                                              np.zeros(n)]), "<=", cap))
+    return _assemble(form, skip_line, lo, hi, extra, sense, c, name)
 
 
 def extract_solution(form: UcFormulation, lp_solution) -> UcSolution:
-    """Split a solved UC vector back into (u, x, f) blocks."""
+    """Split a solved UC vector into (u, x) and the line flows."""
     if lp_solution.status != "optimal":
         return UcSolution(status=lp_solution.status)
-    ng, nf = form.n_gens, form.n_buses - 1
+    ng = form.n_gens
     z = lp_solution.x
     u = np.round(z[:ng])
     if np.abs(z[:ng] - u).max(initial=0.0) > TOL_INT:
         raise ValueError("commitment variables are not integral")
-    return UcSolution(status="optimal", u=u, x=z[ng:2 * ng].copy(),
-                      f=z[2 * ng:2 * ng + nf].copy(),
+    x = z[ng:2 * ng].copy()
+    return UcSolution(status="optimal", u=u, x=x,
+                      flows=form.H @ (form.gen_incidence @ x - z[2 * ng:]),
                       cost=float(lp_solution.objective_value))

@@ -13,7 +13,8 @@ with the ±1 costs recomputed every iteration, and phase 2 the objective,
 in the same loop.  The ratio test stops a basic variable at the first
 bound it meets (a violated bound is the first one met when moving
 towards it, and none when moving away), and the entering variable may
-flip to its other bound without a pivot.  Pricing is Dantzig's rule,
+flip to its other bound without a pivot.  A nonbasic column whose bounds
+are equal can move neither way, so it never enters the basis.  Pricing is Dantzig's rule,
 falling back to Bland's rule after 2*(rows+cols) iterations so the
 solver terminates on degenerate/cycling instances.
 

@@ -17,6 +17,7 @@ flow limits are in MW, susceptances per-unit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,6 +157,11 @@ def _connected_components(n: int, edges) -> int:
     return components
 
 
+def _non_finite(where: str, item, fields) -> list[str]:
+    return [f"{where} has non-finite {name} {getattr(item, name)}"
+            for name in fields if not math.isfinite(getattr(item, name))]
+
+
 def validate_case(case: NetworkCase) -> list[str]:
     """Return a list of invariant violations, empty when the case is valid."""
     violations: list[str] = []
@@ -174,14 +180,16 @@ def validate_case(case: NetworkCase) -> list[str]:
             continue
         if line.from_bus == line.to_bus:
             violations.append(f"line {i} is a self-loop at bus {line.from_bus}")
-        if not line.susceptance > 0:
+        violations += _non_finite(f"line {i}", line, ("susceptance", "flow_limit"))
+        if line.susceptance <= 0:
             violations.append(f"line {i} has nonpositive susceptance {line.susceptance}")
-        if not line.flow_limit > 0:
+        if line.flow_limit <= 0:
             violations.append(f"line {i} has nonpositive flow limit {line.flow_limit}")
 
     for i, gen in enumerate(case.generators):
         if not (0 <= gen.bus < n):
             violations.append(f"generator {i} at unknown bus {gen.bus}")
+        violations += _non_finite(f"generator {i}", gen, ("cost", "p_min", "p_max"))
         if gen.cost < 0:
             violations.append(f"generator {i} has negative cost {gen.cost}")
         if not (0 <= gen.p_min <= gen.p_max):
@@ -193,6 +201,9 @@ def validate_case(case: NetworkCase) -> list[str]:
         violations.append(
             f"nominal_load has length {case.nominal_load.shape[0]}, expected {n}")
     else:
+        non_finite = np.flatnonzero(~np.isfinite(case.nominal_load))
+        if non_finite.size:
+            violations.append(f"nominal_load non-finite at buses {non_finite.tolist()}")
         negative = np.flatnonzero(case.nominal_load < 0)
         if negative.size:
             violations.append(f"nominal_load negative at buses {negative.tolist()}")
@@ -275,11 +286,14 @@ def serialize(case: NetworkCase) -> str:
 
 
 def validate_load(values, n_buses: int) -> np.ndarray:
-    """Check a load vector (length, non-negativity) and return it as an array."""
+    """Check a load vector (length, finiteness, non-negativity) and return
+    it as an array."""
     load = np.asarray(values, dtype=float)
     if load.shape != (n_buses,):
         raise ValidationError(
             f"load vector has shape {load.shape}, expected ({n_buses},)")
+    if not np.isfinite(load).all():
+        raise ValidationError("load vector has non-finite entries")
     if np.any(load < 0):
         raise ValidationError("load vector has negative entries")
     return load

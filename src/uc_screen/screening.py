@@ -2,16 +2,19 @@
 
 Each line's upper and lower flow bound is tested independently: maximize
 (respectively minimize) the line's flow over the relaxed feasible set —
-commitments in [0, 1], every other flow bound in place, load either fixed
-(sample-aware) or ranging over a box-and-level region (sample-agnostic),
-optionally capped in cost.  A side whose bound cannot be attained, with a
-margin of ``1e-6 * flow_limit``, is redundant and can be dropped from the
-unit-commitment problem without changing its optimum.
+commitments in [0, 1], every other flow bound in place, the load ranging
+over a box lo <= ℓ <= hi with a fixed total 1ᵀℓ = level, optionally
+capped in cost.  A sample-agnostic context's box is its region; a
+sample-aware context is the zero-width box lo = hi = load, so both run
+the same LPs and the same pre-screen.  A side whose bound cannot be
+attained, with a margin of ``1e-6 * flow_limit``, is redundant and can
+be dropped from the unit-commitment problem without changing its
+optimum.
 
 Most sides are decided without an LP.  Dropping the other lines' flow
 rows as well leaves a relaxation whose optimum has a closed form (a
-continuous knapsack over the dispatch, and over the load in a region,
-with the cost cap priced in by weak duality), and its maximum bounds
+continuous knapsack over the dispatch and one over the load box, with
+the cost cap priced in by weak duality), and its maximum bounds
 the LP's from above.  A side the relaxed bound already proves redundant
 gets no LP, and its verdict reports that relaxed bound as ``max_flow``
 (or ``min_flow``), which is looser than the exact value.  Only the other
@@ -32,9 +35,9 @@ import numpy as np
 
 from .errors import (ContextMismatch, DimensionError, EmptyRegion,
                      NumericalError, ScreeningInfeasible)
-from .formulation import (UcFormulation, UcInstance, assemble_relaxation,
-                          assemble_screening, assemble_uc, flow_lower_row,
-                          flow_upper_row)
+from .formulation import (UcFormulation, UcInstance, _checked_load,
+                          assemble_relaxation, assemble_screening, assemble_uc,
+                          flow_lower_row, flow_upper_row)
 from .lp import INFEASIBLE, OPTIMAL, solve_lp
 from .milp import MilpProblem
 
@@ -152,6 +155,14 @@ class ScreeningContext:
     @property
     def is_sample_aware(self) -> bool:
         return self.load is not None
+
+    @property
+    def load_box(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(lo, hi, level): the load ranges over lo <= ℓ <= hi with
+        1ᵀℓ = level.  A fixed load is the zero-width box lo = hi = load."""
+        if self.is_sample_aware:
+            return self.load, self.load, float(self.load.sum())
+        return self.region.lower, self.region.upper, self.region.level
 
     @property
     def effective_cost_bound(self) -> float | None:
@@ -315,38 +326,29 @@ def _relaxed_side_bounds(form: UcFormulation,
     Side j bounds line j's flow and side m + j its negation, over a
     relaxation of the screening LP that keeps the dispatch box
     x in [0, p_max] (implied by u in [0, 1] and the generator rows), the
-    balance 1ᵀx = 1ᵀℓ, an agnostic context's load box and level, and the
-    cost cap, but no flow row.  Flows are H(ℓ − Gx) with H = K·A̅⁺, so
-    each side is a continuous knapsack over x, plus one over ℓ when the
-    load ranges.  The cap cᵀx <= C is priced in by weak duality: every
-    μ >= 0 gives the bound μC + knapsack_max(w − μc), which is piecewise
-    linear and convex in μ with breakpoints where two generators' w − μc
-    cross, so its minimum over μ = 0 and those crossings is the relaxed
-    optimum.  Every bound is +inf when the relaxation is empty: the load
-    total outside [0, Σp_max] or the level outside the load box, or the
-    cap below the relaxation's least cost.
+    balance 1ᵀx = 1ᵀℓ, the context's load box and level, and the cost
+    cap, but no flow row.  Flows are H(Gx − ℓ), so each side is a
+    continuous knapsack over x plus one over ℓ, which is constant on a
+    fixed load's zero-width box.  The cap cᵀx <= C is priced in by weak
+    duality: every μ >= 0 gives the bound μC + knapsack_max(w − μc),
+    which is piecewise linear and convex in μ with breakpoints where two
+    generators' w − μc cross, so its minimum over μ = 0 and those
+    crossings is the relaxed optimum.  Every bound is +inf when the
+    relaxation is empty: the level outside the load box or outside
+    [0, Σp_max], or the cap below the relaxation's least cost.
     """
-    n, m = form.n_buses, form.n_lines
-    shape = (context.load if context.is_sample_aware
-             else context.region.nominal).shape
-    if shape != (n,):
-        raise DimensionError(f"load has shape {shape}, expected ({n},)")
+    m = form.n_lines
+    lo, hi, total = context.load_box
+    lo = _checked_load(form, lo)
     no_bound = np.full(2 * m, np.inf)
 
-    H = form.K @ np.linalg.pinv(form.A_bar)         # (m, n) PTDF
-    D = np.vstack([H, -H])                          # side weights on ℓ − Gx
-    W = -D[:, form.gen_bus]                         # side weights on x
+    S = np.vstack([form.H, -form.H])                # side weights on Gx − ℓ
+    W = S[:, form.gen_bus]                          # side weights on x
     p = form.gen_max
-    if context.is_sample_aware:
-        total = float(context.load.sum())
-        const = D @ context.load
-    else:
-        lo, hi = context.region.lower, context.region.upper
-        total = context.region.level
-        spare = total - float(lo.sum())
-        if not 0.0 <= spare <= float((hi - lo).sum()):
-            return no_bound
-        const = D @ lo + _knapsack_max(D, hi - lo, spare)
+    spare = total - float(lo.sum())
+    if not 0.0 <= spare <= float((hi - lo).sum()):
+        return no_bound
+    const = _knapsack_max(-S, hi - lo, spare) - S @ lo
     if not 0.0 <= total <= float(p.sum()):
         return no_bound
 

@@ -116,7 +116,7 @@ def aware_sweep(form14, case14, model14):
             data["pct_aware"].append(aware.pct_reduced)
 
             uc = extract_solution(form14, full)
-            data["pct_actual"].append(1.0 - binding_mask(form14, uc.f).mean())
+            data["pct_actual"].append(1.0 - binding_mask(form14, uc.flows).mean())
         sweep[r] = {k: np.asarray(v) if isinstance(v, list) else v
                     for k, v in data.items()}
     return sweep

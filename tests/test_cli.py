@@ -108,8 +108,9 @@ def test_solve_with_explicit_load(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("verb", ["solve", "screen"])
-@pytest.mark.parametrize("load", [[1.0, 2.0, 3.0], [-1.0] + [5.0] * 13],
-                         ids=["wrong_length", "negative"])
+@pytest.mark.parametrize("load", [[1.0, 2.0, 3.0], [-1.0] + [5.0] * 13,
+                                  [float("nan")] + [5.0] * 13],
+                         ids=["wrong_length", "negative", "nan"])
 def test_bad_load_file_is_bad_input(tmp_path, capsys, verb, load):
     load_path = tmp_path / "load.json"
     load_path.write_text(json.dumps(load))

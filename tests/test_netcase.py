@@ -1,4 +1,5 @@
 import copy
+import math
 import json
 from pathlib import Path
 
@@ -143,6 +144,22 @@ def test_load_length_mismatch_rejected():
     (lambda d: d["generators"][0].__setitem__("cost", -2.0), "negative cost"),
     (lambda d: d["nominal_load"].__setitem__(1, -5.0), "negative"),
     (lambda d: d["generators"][0].__setitem__("p_max", 10.0), "capacity"),
+    (lambda d: d["lines"][0].__setitem__("susceptance", math.inf),
+     "non-finite susceptance"),
+    (lambda d: d["lines"][0].__setitem__("susceptance", math.nan),
+     "non-finite susceptance"),
+    (lambda d: d["lines"][0].__setitem__("flow_limit", math.inf),
+     "non-finite flow_limit"),
+    (lambda d: d["generators"][0].__setitem__("cost", math.nan),
+     "non-finite cost"),
+    (lambda d: d["generators"][0].__setitem__("cost", math.inf),
+     "non-finite cost"),
+    (lambda d: d["generators"][0].__setitem__("p_max", math.inf),
+     "non-finite p_max"),
+    (lambda d: d["generators"][0].update(p_min=math.inf, p_max=math.inf),
+     "non-finite p_min"),
+    (lambda d: d["nominal_load"].__setitem__(1, math.nan), "non-finite"),
+    (lambda d: d["nominal_load"].__setitem__(1, -math.inf), "non-finite"),
 ])
 def test_invariant_violations_rejected(mutate, needle):
     doc = minimal_doc()
@@ -174,6 +191,8 @@ def test_validate_load():
         validate_load([1.0], 2)
     with pytest.raises(ValidationError):
         validate_load([1.0, -2.0], 2)
+    with pytest.raises(ValidationError, match="non-finite"):
+        validate_load([1.0, math.inf], 2)
 
 
 def test_shipped_fixture_cases_are_valid(case3, case14):

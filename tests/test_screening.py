@@ -279,7 +279,7 @@ def test_screening_never_drops_binding_sides():
             form, ScreeningContext.sample_aware(load))
         assert n_fallbacks == 0
         kept = report.kept_mask()
-        binding = binding_mask(form, uc.f)
+        binding = binding_mask(form, uc.flows)
         assert not np.any(binding & ~kept), "a binding side was screened"
         reduced_sol, _ = solve_milp(reduce_instance(instance, report))
         assert reduced_sol.status == "optimal"
@@ -512,6 +512,14 @@ def test_prescreen_keeps_the_all_lp_verdicts(case14, form14):
     # the last context's relaxation is feasible but its polytope with every
     # flow row is not, so the guard LP sends every side to its LP
     assert fallbacks[-2:] == [20, 19]
+    # a fixed load is the zero-width region around it
+    for cap in (None, 1.01 * _lp_min_cost(form14, load)):
+        aware, _ = screen_all_keeping_infeasible(
+            form14, ScreeningContext.sample_aware(load, cost_bound=cap))
+        point, _ = screen_all_keeping_infeasible(
+            form14, ScreeningContext.sample_agnostic(
+                LoadRegion(nominal=load, variation=0.0), cost_bound=cap))
+        np.testing.assert_array_equal(aware.kept_mask(), point.kept_mask())
 
 
 def test_infeasible_guard_runs_every_lp(form14, case14, monkeypatch):
